@@ -180,6 +180,99 @@ std::uint64_t side_weight(const MlGraph& g, const std::vector<std::uint8_t>& sid
   return w;
 }
 
+/// Move selection for `refine`. Whether a vertex may move depends only on
+/// its side and its weight, and every balance bound `refine` applies is
+/// monotone in the weight. So the vertices sit in stable (weight, index)
+/// order, where the vertices a bound admits form one run of positions that
+/// two binary searches find, and each side keeps a max tree over those
+/// positions holding the gains of its vertices still free to move. A node
+/// keeps the better child by gain descending, then index ascending, so a
+/// range query returns exactly the vertex that a scan in index order,
+/// keeping only strictly higher gains, would pick. A pick costs O(log n)
+/// and a gain change is one O(log n) point update.
+class MoveSelector {
+ public:
+  struct Entry {
+    std::int64_t gain;
+    std::uint32_t v;
+  };
+  /// An empty leaf. A vertex whose gain is the minimum never wins a scan
+  /// either, so callers treat a result with this gain as no move.
+  static constexpr Entry kNone{std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::uint32_t>::max()};
+
+  static Entry better(Entry a, Entry b) {
+    return a.gain > b.gain || (a.gain == b.gain && a.v < b.v) ? a : b;
+  }
+
+  explicit MoveSelector(const MlGraph& g) : n_(g.n()), pos_(n_), weight_(n_) {
+    std::vector<std::uint32_t> order(n_);
+    for (std::size_t i = 0; i < n_; ++i)
+      order[i] = static_cast<std::uint32_t>(i);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return g.wvert[a] < g.wvert[b];
+                     });
+    for (std::size_t i = 0; i < n_; ++i) {
+      pos_[order[i]] = static_cast<std::uint32_t>(i);
+      weight_[i] = g.wvert[order[i]];
+    }
+    for (auto& t : tree_) t.assign(2 * n_, kNone);
+  }
+
+  /// Every vertex becomes free to move from its side with its gain.
+  void reset(const std::vector<std::int64_t>& gain,
+             const std::vector<std::uint8_t>& side) {
+    for (std::size_t v = 0; v < n_; ++v) {
+      tree_[side[v]][n_ + pos_[v]] = {gain[v], static_cast<std::uint32_t>(v)};
+      tree_[1 - side[v]][n_ + pos_[v]] = kNone;
+    }
+    for (auto& t : tree_)
+      for (std::size_t i = n_; i-- > 1;) t[i] = better(t[2 * i], t[2 * i + 1]);
+  }
+
+  /// Set vertex v's leaf in side s's tree (kNone: v no longer moves).
+  void set(std::uint8_t s, std::uint32_t v, Entry e) {
+    std::vector<Entry>& t = tree_[s];
+    std::size_t i = n_ + pos_[v];
+    t[i] = e;
+    for (i >>= 1; i >= 1; i >>= 1) {
+      const Entry up = better(t[2 * i], t[2 * i + 1]);
+      if (up.gain == t[i].gain && up.v == t[i].v) break;  // ancestors hold
+      t[i] = up;
+    }
+  }
+
+  /// The best vertex free to move from side s whose weight has reached
+  /// `enter` but not yet `leave`, two predicates that each turn from false
+  /// to true as the weight grows; kNone if there is none.
+  template <class Enter, class Leave>
+  Entry best(std::uint8_t s, Enter enter, Leave leave) const {
+    std::size_t a = first(enter) + n_, b = first(leave) + n_;
+    const std::vector<Entry>& t = tree_[s];
+    Entry r = kNone;
+    for (; a < b; a >>= 1, b >>= 1) {
+      if (a & 1) r = better(r, t[a++]);
+      if (b & 1) r = better(r, t[--b]);
+    }
+    return r;
+  }
+
+ private:
+  template <class Pred>
+  std::size_t first(Pred pred) const {
+    return static_cast<std::size_t>(
+        std::partition_point(weight_.begin(), weight_.end(),
+                             [&](std::uint64_t w) { return !pred(w); }) -
+        weight_.begin());
+  }
+
+  std::size_t n_;
+  std::vector<std::uint32_t> pos_;     ///< vertex -> position
+  std::vector<std::uint64_t> weight_;  ///< position -> vertex weight
+  std::vector<Entry> tree_[2];         ///< per side; leaves at [n, 2n)
+};
+
 /// Boundary FM refinement pass on the graph edge-cut. `ratio` = target
 /// weight share of side 0.
 void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
@@ -193,10 +286,43 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
   const double target0 = ratio * static_cast<double>(total);
   const double tol = std::max<double>(static_cast<double>(maxw),
                                       0.03 * static_cast<double>(total));
+  const double lo = target0 - tol, hi = target0 + tol;
+
+  // Gains (positive = moving reduces cut) and a "done moving" flag per
+  // vertex, shared by the restoration loop and the FM passes. `start`
+  // recomputes every gain and frees every vertex to move.
+  MoveSelector sel(g);
+  std::vector<std::int64_t> gain(n);
+  std::vector<std::uint8_t> done(n);
+  const auto start = [&] {
+    for (std::size_t v = 0; v < n; ++v) {
+      gain[v] = 0;
+      for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e)
+        gain[v] += (side[g.adj[e]] != side[v])
+                       ? static_cast<std::int64_t>(g.wedge[e])
+                       : -static_cast<std::int64_t>(g.wedge[e]);
+    }
+    std::fill(done.begin(), done.end(), 0);
+    sel.reset(gain, side);
+  };
+  // Moves `best` to the other side for good; its neighbours' gains follow.
+  const auto move = [&](std::uint32_t best, std::uint64_t& w0) {
+    done[best] = 1;
+    sel.set(side[best], best, MoveSelector::kNone);
+    w0 = side[best] == 0 ? w0 - g.wvert[best] : w0 + g.wvert[best];
+    side[best] = 1 - side[best];
+    for (std::uint32_t e = g.off[best]; e < g.off[best + 1]; ++e) {
+      const std::uint32_t u = g.adj[e];
+      gain[u] += (side[u] == side[best])
+                     ? -2 * static_cast<std::int64_t>(g.wedge[e])
+                     : 2 * static_cast<std::int64_t>(g.wedge[e]);
+      if (!done[u]) sel.set(side[u], u, {gain[u], u});
+    }
+  };
 
   // Balance restoration. The FM passes below only accept moves that LAND
   // inside the tolerance window, so a partition that arrives outside it —
-  // the BFS base case can overshoot by most of a heavy supernode, and a
+  // the base case can overshoot by most of a heavy supernode, and a
   // projected coarse partition inherits imbalance the finer tolerance no
   // longer covers — would be stuck forever. Walk it back first: repeatedly
   // move the highest-gain vertex off the heavy side, accepting only moves
@@ -207,58 +333,29 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
   // this loop does not fire on the historical golden circuits).
   {
     std::uint64_t w0 = side_weight(g, side, 0);
-    std::vector<std::int64_t> gain;
-    std::vector<std::uint8_t> moved;
-    while (static_cast<double>(w0) > target0 + tol ||
-           static_cast<double>(w0) < target0 - tol) {
-      if (gain.empty()) {
-        gain.assign(n, 0);
-        for (std::size_t v = 0; v < n; ++v)
-          for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e)
-            gain[v] += (side[g.adj[e]] != side[v])
-                           ? static_cast<std::int64_t>(g.wedge[e])
-                           : -static_cast<std::int64_t>(g.wedge[e]);
-        moved.assign(n, 0);
+    bool started = false;
+    while (static_cast<double>(w0) > hi || static_cast<double>(w0) < lo) {
+      if (!started) {
+        start();
+        started = true;
       }
       const std::uint8_t heavy = static_cast<double>(w0) > target0 ? 0 : 1;
       const double gap = heavy == 0 ? static_cast<double>(w0) - target0
                                     : target0 - static_cast<double>(w0);
-      std::uint32_t best = static_cast<std::uint32_t>(-1);
-      std::int64_t bg = std::numeric_limits<std::int64_t>::min();
-      for (std::size_t v = 0; v < n; ++v) {
-        if (moved[v] || side[v] != heavy) continue;
-        // Strictly shrink |w0 - target0|: oversized vertices that would
-        // overshoot past the mirror imbalance are skipped.
-        if (static_cast<double>(g.wvert[v]) >= 2.0 * gap) continue;
-        if (gain[v] > bg) {
-          bg = gain[v];
-          best = static_cast<std::uint32_t>(v);
-        }
-      }
-      if (best == static_cast<std::uint32_t>(-1)) break;
-      moved[best] = 1;
-      w0 = heavy == 0 ? w0 - g.wvert[best] : w0 + g.wvert[best];
-      side[best] = 1 - side[best];
-      for (std::uint32_t e = g.off[best]; e < g.off[best + 1]; ++e) {
-        const std::uint32_t u = g.adj[e];
-        gain[u] += (side[u] == side[best])
-                       ? -2 * static_cast<std::int64_t>(g.wedge[e])
-                       : 2 * static_cast<std::int64_t>(g.wedge[e]);
-      }
+      // Strictly shrink |w0 - target0|: oversized vertices that would
+      // overshoot past the mirror imbalance are skipped.
+      const auto any = [](std::uint64_t) { return true; };
+      const auto overshoots = [&](std::uint64_t w) {
+        return static_cast<double>(w) >= 2.0 * gap;
+      };
+      const MoveSelector::Entry pick = sel.best(heavy, any, overshoots);
+      if (pick.gain == MoveSelector::kNone.gain) break;
+      move(pick.v, w0);
     }
   }
 
   for (int pass = 0; pass < 4; ++pass) {
-    // Gains for all vertices (positive = moving reduces cut).
-    std::vector<std::int64_t> gain(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e) {
-        gain[v] += (side[g.adj[e]] != side[v])
-                       ? static_cast<std::int64_t>(g.wedge[e])
-                       : -static_cast<std::int64_t>(g.wedge[e]);
-      }
-    }
-    std::vector<std::uint8_t> locked(n, 0);
+    start();
     std::uint64_t w0 = side_weight(g, side, 0);
     std::vector<std::uint32_t> moves;
     std::vector<std::int64_t> cumulative;
@@ -266,35 +363,32 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
 
     const std::size_t max_moves = std::min<std::size_t>(n, 32 + n / 16);
     for (std::size_t step = 0; step < max_moves; ++step) {
-      std::uint32_t best = static_cast<std::uint32_t>(-1);
-      std::int64_t bg = std::numeric_limits<std::int64_t>::min();
-      for (std::size_t v = 0; v < n; ++v) {
-        if (locked[v]) continue;
-        const double nw0 = side[v] == 0
-                               ? static_cast<double>(w0 - g.wvert[v])
-                               : static_cast<double>(w0 + g.wvert[v]);
-        if (nw0 < target0 - tol || nw0 > target0 + tol) continue;
-        if (gain[v] > bg) {
-          bg = gain[v];
-          best = static_cast<std::uint32_t>(v);
-        }
-      }
-      if (best == static_cast<std::uint32_t>(-1)) break;
-      locked[best] = 1;
-      if (side[best] == 0)
-        w0 -= g.wvert[best];
-      else
-        w0 += g.wvert[best];
-      side[best] = 1 - side[best];
-      acc += bg;
-      moves.push_back(best);
+      // A move must land side 0's weight inside [lo, hi]. The landing
+      // weight falls as w grows for a side-0 vertex and rises for a side-1
+      // vertex, until the 64-bit arithmetic wraps: past w0 on side 0 (no
+      // side-0 vertex outweighs w0) and past 2^64 - 1 - w0 on side 1 (the
+      // total stays below 2^64). A wrapped move stays infeasible.
+      const std::uint64_t wrap1 =
+          std::numeric_limits<std::uint64_t>::max() - w0;
+      const auto enter0 = [&](std::uint64_t w) {
+        return w > w0 || static_cast<double>(w0 - w) <= hi;
+      };
+      const auto leave0 = [&](std::uint64_t w) {
+        return w > w0 || static_cast<double>(w0 - w) < lo;
+      };
+      const auto enter1 = [&](std::uint64_t w) {
+        return w > wrap1 || static_cast<double>(w0 + w) >= lo;
+      };
+      const auto leave1 = [&](std::uint64_t w) {
+        return w > wrap1 || static_cast<double>(w0 + w) > hi;
+      };
+      const MoveSelector::Entry pick = MoveSelector::better(
+          sel.best(0, enter0, leave0), sel.best(1, enter1, leave1));
+      if (pick.gain == MoveSelector::kNone.gain) break;
+      move(pick.v, w0);
+      acc += pick.gain;
+      moves.push_back(pick.v);
       cumulative.push_back(acc);
-      for (std::uint32_t e = g.off[best]; e < g.off[best + 1]; ++e) {
-        const std::uint32_t u = g.adj[e];
-        gain[u] += (side[u] == side[best])
-                       ? -2 * static_cast<std::int64_t>(g.wedge[e])
-                       : 2 * static_cast<std::int64_t>(g.wedge[e]);
-      }
     }
 
     std::size_t best_prefix = 0;
@@ -315,7 +409,8 @@ void ml_bisect(const MlGraph& g, double ratio, Rng& rng,
                std::vector<std::uint8_t>& side) {
   constexpr std::size_t kCoarseEnough = 128;
   if (g.n() <= kCoarseEnough) {
-    // Base case: greedy BFS growth from a random seed until side 0 is full.
+    // Base case: greedy depth-first growth from a random seed until side 0
+    // is full.
     side.assign(g.n(), 1);
     std::uint64_t total = 0;
     for (std::size_t v = 0; v < g.n(); ++v) total += g.wvert[v];
@@ -371,6 +466,10 @@ void ml_recursive(const Circuit& c, std::span<const std::uint64_t> gate_w,
                   std::span<const std::uint64_t> net_w,
                   std::vector<GateId>& cells, std::uint32_t k,
                   std::uint32_t first_block, Rng& rng, Partition& p) {
+  // A bisection can leave one half empty while it still owes blocks (k
+  // exceeds the cells left). Its blocks stay empty here, and
+  // fix_empty_blocks fills them or rejects the partition.
+  if (cells.empty()) return;
   if (k == 1) {
     for (GateId g : cells) p.block_of[g] = first_block;
     return;

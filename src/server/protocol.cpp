@@ -1,5 +1,6 @@
 #include "server/protocol.hpp"
 
+#include <algorithm>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -123,15 +124,38 @@ void parse_circuit_spec(const JsonValue& v, CircuitSpec& spec) {
     if (spec.generator != "random" && spec.generator != "scaled" &&
         spec.generator != "pipeline" && spec.generator != "module_array")
       raise("plsim-job-v1: unknown generator kind '" + spec.generator + "'");
-    spec.gates = g->find("gates") ? g->find("gates")->as_uint(1000) : 1000;
+    // Sizes stay 64-bit until checked here and in parse_job_request:
+    // build_circuit narrows width and stages to int and modules to
+    // uint32_t, so 2^32 + 16 would otherwise become 16. A present but
+    // non-integral size reads as 0 and is rejected, as for `blocks`.
+    spec.gates = g->find("gates") ? g->find("gates")->as_uint(0) : 1000;
     spec.seed = g->find("seed") ? g->find("seed")->as_uint(1) : 1;
-    spec.width = g->find("width") ? g->find("width")->as_uint(16) : 16;
-    spec.stages = g->find("stages") ? g->find("stages")->as_uint(4) : 4;
-    spec.modules = g->find("modules") ? g->find("modules")->as_uint(4) : 4;
+    spec.width = g->find("width") ? g->find("width")->as_uint(0) : 16;
+    spec.stages = g->find("stages") ? g->find("stages")->as_uint(0) : 4;
+    spec.modules = g->find("modules") ? g->find("modules")->as_uint(0) : 4;
+    if (spec.generator == "pipeline" && (spec.width < 2 || spec.stages < 1))
+      raise("plsim-job-v1: pipeline needs width >= 2 and stages >= 1");
+    if (spec.generator == "module_array" &&
+        (spec.modules < 1 || spec.gates < 32))
+      raise("plsim-job-v1: module_array needs modules >= 1 and gates >= 32");
     return;
   }
   raise("plsim-job-v1: 'circuit' needs one of "
         "builtin/bench/bench_path/generator");
+}
+
+/// Gates a generator spec builds. Each factor is clamped to 2^20 first:
+/// that keeps the products in 64 bits, and with the generators' minimum
+/// sizes a clamped factor alone already puts the product over the cap.
+std::uint64_t generated_gates(const CircuitSpec& spec) {
+  const auto clamp = [](std::uint64_t x) {
+    return std::min<std::uint64_t>(x, std::uint64_t{1} << 20);
+  };
+  if (spec.generator == "pipeline")
+    return clamp(spec.width) * (1 + 4 * clamp(spec.stages));
+  if (spec.generator == "module_array")
+    return clamp(spec.modules) * clamp(spec.gates);
+  return spec.gates;
 }
 
 JsonValue circuit_spec_json(const CircuitSpec& spec) {
@@ -193,6 +217,11 @@ bool parse_job_request(const std::string& payload, JobRequest& req,
     }
     if (req.stimulus.cycles == 0 || req.stimulus.cycles > 100000)
       raise("plsim-job-v1: stimulus.cycles out of range [1, 100000]");
+    if (req.circuit.kind == CircuitSpec::Kind::Generator) {
+      const std::uint64_t gates = generated_gates(req.circuit);
+      if (gates == 0 || gates > 1000000)
+        raise("plsim-job-v1: generator size out of range [1, 1000000] gates");
+    }
     if (req.stimulus.period == 0)
       raise("plsim-job-v1: stimulus.period must be >= 1");
     req.engine = require(doc, "engine").as_string("");

@@ -140,6 +140,26 @@ TEST(Partition, MoreBlocksThanGatesThrows) {
   EXPECT_THROW(partition_round_robin(c, 20), Error);
 }
 
+TEST(Partition, MultilevelValidOrRejectsForEveryBlockCount) {
+  // A bisection half that came back empty while still owing blocks used to
+  // be bisected anyway, writing past a zero-length vector (c17 at k = 20,
+  // s27 at k = 32). Every k must now give a valid partition or, once k
+  // exceeds the gate count, the same Error as every other partitioner.
+  for (const char* name : {"c17", "s27"}) {
+    const Circuit c = builtin_circuit(name);
+    for (std::uint32_t k = 1; k <= 256; ++k) {
+      if (k <= c.gate_count()) {
+        const Partition p = partition_multilevel(c, k, 1);
+        validate_partition(c, p);
+        EXPECT_EQ(p.n_blocks, k) << name << " k=" << k;
+      } else {
+        EXPECT_THROW(partition_multilevel(c, k, 1), Error)
+            << name << " k=" << k;
+      }
+    }
+  }
+}
+
 // --- Activity weighting (trace -> partition feedback) ---
 
 TEST(PartitionWeighted, UniformActivityReproducesUnweightedFm) {
@@ -216,6 +236,60 @@ TEST(PartitionWeighted, UnweightedMultilevelMatchesPreWeightGoldens) {
       EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut)
           << "size=" << g.size << " k=" << g.k << " seed=" << g.seed;
     }
+  }
+}
+
+TEST(PartitionWeighted, MultilevelMatchesScanRefineGoldens) {
+  // Differential goldens captured from the tree immediately before
+  // refinement's move selection moved from a scan over every vertex per
+  // move to weight-ordered max trees: the selection must pick exactly the
+  // same vertex, so every partition stays byte-identical. Beyond the table
+  // above this covers hashed activity weights (as in
+  // DeterministicForSeedWithWeights), k = 3, the vp_pipeline circuits, a
+  // 5000-gate circuit, and a heavy-tailed profile whose coarse levels
+  // arrive outside the balance window, so the restoration loop moves
+  // vertices.
+  enum class Profile { Hashed, HeavyTail, Unit, Pipeline };
+  struct Golden {
+    Profile profile;
+    std::uint32_t size, k;  // size: gates, or pipeline width
+    std::uint64_t sig, cut;
+  };
+  static constexpr Golden kGoldens[] = {
+      {Profile::Hashed, 700, 2, 0x7fdae99aa1b31cacull, 166},
+      {Profile::Hashed, 700, 3, 0x9ba1bf5a4aa5499aull, 247},
+      {Profile::Hashed, 700, 4, 0xbe0bf563327a52b8ull, 316},
+      {Profile::Hashed, 700, 8, 0x4790b9ff030a8acbull, 453},
+      {Profile::Pipeline, 16, 8, 0x47da3fce9b5fbf4aull, 118},
+      {Profile::Pipeline, 32, 8, 0x66097863a642274full, 245},
+      {Profile::Pipeline, 64, 8, 0xc2384a1f0de9bfd4ull, 451},
+      {Profile::Unit, 5000, 4, 0x12a4e47469200757ull, 1241},
+      {Profile::HeavyTail, 700, 2, 0x02f6f03f62b60fb9ull, 52},
+      {Profile::HeavyTail, 700, 4, 0x799fa68e214a26a4ull, 75},
+  };
+  for (const Golden& g : kGoldens) {
+    const Circuit c = g.profile == Profile::Pipeline
+                          ? pipeline(static_cast<int>(g.size), 8, 1)
+                      : g.profile == Profile::Hashed
+                          ? scaled_circuit(g.size, 9)
+                          : scaled_circuit(g.size, 1);
+    std::vector<std::uint32_t> w, nw;
+    for (std::size_t i = 0; i < c.gate_count(); ++i) {
+      if (g.profile == Profile::Hashed) {
+        w.push_back(static_cast<std::uint32_t>((i * 2654435761u) % 97));
+        nw.push_back(static_cast<std::uint32_t>((i * 40503u) % 13));
+      } else if (g.profile == Profile::HeavyTail) {
+        // One gate in 20 is hot.
+        w.push_back((i * 2654435761u) % 20 == 0
+                        ? static_cast<std::uint32_t>((i * 40503u) % 100000)
+                        : static_cast<std::uint32_t>(i % 3));
+      }
+    }
+    const std::uint64_t seed = g.profile == Profile::Hashed ? 5 : 1;
+    const Partition p = partition_multilevel(c, g.k, seed, w, nw);
+    const int row = static_cast<int>(&g - kGoldens);
+    EXPECT_EQ(partition_sig(p), g.sig) << "row " << row;
+    EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut) << "row " << row;
   }
 }
 
@@ -303,6 +377,17 @@ TEST(PartitionWeighted, NearOverflowWeightsStayBalanced) {
     EXPECT_EQ(partition_multilevel(c, k, 1).block_of, ml.block_of)
         << "k=" << k;
   }
+}
+
+TEST(PartitionWeighted, DominantGateLeavesNoBlockEmpty) {
+  // One gate outweighs the rest of the circuit many times over, so the
+  // first bisection isolates it on a side that still owes 4 blocks.
+  const Circuit c = scaled_circuit(200, 1);
+  std::vector<std::uint32_t> w(c.gate_count(), 1);
+  w[c.gate_count() / 2] = 4000000000u;
+  const Partition p = partition_multilevel(c, 8, 1, w);
+  validate_partition(c, p);
+  EXPECT_EQ(p.n_blocks, 8u);
 }
 
 TEST(PartitionWeighted, WrongSizeSpansThrow) {

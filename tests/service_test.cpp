@@ -139,6 +139,91 @@ TEST(Service, BlocksRangeCheckedBeforeNarrowing) {
   }
 }
 
+TEST(Service, GeneratorSizesRangeCheckedBeforeNarrowing) {
+  // A pipeline width of 2^32 + 16 used to narrow to 16 and run, and
+  // `gates` had no limit at all. Every size is checked in 64 bits against
+  // the generators' minimums, and the circuit a spec would build is capped
+  // at 1,000,000 gates.
+  const auto job = [](const std::string& generator) {
+    return R"({"schema": "plsim-job-v1", "id": 78, "engine": "sync",
+               "circuit": {"generator": )" + generator + "}}";
+  };
+  JobRequest req;
+  JobResponse resp;
+  for (const char* ok :
+       {R"({"kind": "pipeline", "width": 16, "stages": 2})",
+        R"({"kind": "pipeline", "width": 8000, "stages": 31})",  // 1e6 gates
+        R"({"kind": "module_array", "modules": 1000, "gates": 1000})",
+        R"({"kind": "scaled", "gates": 1000000})",
+        R"({"kind": "random", "gates": 400})"})
+    EXPECT_TRUE(parse_job_request(job(ok), req, resp)) << ok << resp.error;
+  EXPECT_EQ(req.circuit.gates, 400u);
+  for (const char* bad : {
+           R"({"kind": "pipeline", "width": 4294967312, "stages": 2})",
+           R"({"kind": "pipeline", "width": 16, "stages": 4294967297})",
+           R"({"kind": "pipeline", "width": 1, "stages": 2})",
+           R"({"kind": "pipeline", "width": 16, "stages": 0})",
+           R"({"kind": "pipeline", "width": 8000, "stages": 32})",
+           R"({"kind": "pipeline", "width": 9223372036854775808,
+               "stages": 4611686018427387904})",
+           R"({"kind": "pipeline", "width": 1e30, "stages": 2})",
+           R"({"kind": "module_array", "modules": 4294967297, "gates": 64})",
+           R"({"kind": "module_array", "modules": 0, "gates": 64})",
+           R"({"kind": "module_array", "modules": 4, "gates": 31})",
+           R"({"kind": "module_array", "modules": 1000, "gates": 1001})",
+           R"({"kind": "scaled", "gates": 1000001})",
+           R"({"kind": "scaled", "gates": 1000000000000})",
+           R"({"kind": "scaled", "gates": 18446744073709551615})",
+           R"({"kind": "scaled", "gates": "2000"})",
+           R"({"kind": "random", "gates": 0})"}) {
+    EXPECT_FALSE(parse_job_request(job(bad), req, resp)) << bad;
+    EXPECT_EQ(resp.code, JobErrorCode::BadRequest) << bad;
+    EXPECT_EQ(resp.id, 78u) << bad;
+    EXPECT_FALSE(resp.error.empty()) << bad;
+  }
+}
+
+TEST(Service, ClientGeneratorSpecsParseUnchanged) {
+  // The specs plsim_load, c15 and bench/suite send (scaled and random, the
+  // other size fields at their defaults) round-trip to the same request.
+  for (const char* family : {"scaled", "random"})
+    for (const std::uint64_t gates : {250u, 400u, 1000u, 2000u, 6000u}) {
+      JobRequest sent = scaled_job("sync", gates, 7);
+      sent.circuit.generator = family;
+      JobRequest got;
+      JobResponse resp;
+      ASSERT_TRUE(parse_job_request(serialize_request(sent), got, resp))
+          << family << " " << gates << ": " << resp.error;
+      EXPECT_EQ(got.circuit.content_key(), sent.circuit.content_key());
+      EXPECT_EQ(got.circuit.gates, gates);
+    }
+}
+
+TEST(Service, MoreBlocksThanGatesIsBadRequest) {
+  // Multilevel partitioning of c17 into 20 blocks used to crash the
+  // worker (and with it plsimd); it must answer BadRequest like the other
+  // partitioners, and the service must go on serving.
+  Service service(ServiceConfig{});
+  for (const char* blocks : {"20", "256"}) {
+    JobRequest req;
+    JobResponse resp;
+    ASSERT_TRUE(parse_job_request(
+        R"({"schema": "plsim-job-v1", "id": 79, "circuit": {"builtin": "c17"},
+            "engine": "sync", "blocks": )" + std::string(blocks) + "}",
+        req, resp))
+        << resp.error;
+    resp = service.execute_now(req);
+    EXPECT_FALSE(resp.ok) << blocks;
+    EXPECT_EQ(resp.code, JobErrorCode::BadRequest) << blocks;
+    EXPECT_EQ(resp.id, 79u) << blocks;
+    EXPECT_FALSE(resp.error.empty()) << blocks;
+  }
+  const JobRequest req = scaled_job("sync", 600, 5);
+  const JobResponse resp = service.execute_now(req);
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(resp.wave_digest, batch_reference(req).wave.digest());
+}
+
 TEST(Service, QueueFullRejectsWithOverloaded) {
   ServiceConfig cfg;
   cfg.shards = 1;
