@@ -123,31 +123,6 @@ void BM_EvalGate64(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalGate64);
 
-// 64-lane 3-valued packed kernel (sim/packed.hpp): the word-at-a-time
-// evaluation the packed golden/oblivious executors run on. Items are
-// effective per-lane evaluations (x64 per call).
-void BM_PackedEval3Gather(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<PackedWord> values(4096);
-  for (auto& w : values) {
-    w.x = rng.next();
-    w.v = rng.next() & ~w.x;  // keep the v & x == 0 invariant
-  }
-  const std::uint32_t fanin[3] = {0, 1, 2};
-  std::array<PackedWord, 3> ins;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const GateType t = kTypes[i % std::size(kTypes)];
-    const std::size_t arity = (t == GateType::Not) ? 1 : 2;
-    ins[0] = values[i % values.size()];
-    ins[1] = values[(i * 7 + 1) % values.size()];
-    benchmark::DoNotOptimize(packed_eval_gather(t, ins.data(), fanin, arity));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_PackedEval3Gather);
-
 // 64-lane 2-valued packed kernel — the fault plane's gather variant of
 // eval_gate64 (no operand copy).
 void BM_PackedEval2Gather(benchmark::State& state) {

@@ -1,6 +1,6 @@
 // M4 — engineering macrobenchmark: full event-driven simulation throughput
-// of the golden BlockSimulator, plus the oblivious and packed (64-lane)
-// sweeps, in committed events / gate-evaluations per second of host time.
+// of the golden BlockSimulator, plus the oblivious sweep, in committed
+// events / gate-evaluations per second of host time.
 
 #include <benchmark/benchmark.h>
 
@@ -10,8 +10,6 @@
 #include "netlist/generators.hpp"
 #include "seq/golden.hpp"
 #include "seq/oblivious.hpp"
-#include "seq/packed_sim.hpp"
-#include "sim/packed.hpp"
 #include "stim/stimulus.hpp"
 
 namespace {
@@ -76,37 +74,6 @@ void BM_Oblivious(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * evals);
 }
 BENCHMARK(BM_Oblivious);
-
-// Packed golden: the event-driven kernel over 64 independent 3-valued lanes
-// (one word per signal). Items are effective per-lane committed events —
-// word events x 64, the apples-to-apples number against BM_GoldenBlock.
-void BM_PackedGolden(benchmark::State& state) {
-  static const PackedStimulus ps =
-      random_packed_stimulus(test_circuit(), 20, 0.3, 7);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const PackedRunResult r = simulate_packed_golden(test_circuit(), ps);
-    events = r.stats.wire_events;
-    benchmark::DoNotOptimize(r.final_values.data());
-  }
-  state.SetItemsProcessed(state.iterations() * events * 64);
-}
-BENCHMARK(BM_PackedGolden);
-
-// Packed levelized sweep — BM_Oblivious over 64 lanes at once.
-void BM_PackedOblivious(benchmark::State& state) {
-  static const PackedStimulus ps =
-      random_packed_stimulus(test_circuit(), 20, 0.3, 7);
-  std::uint64_t evals = 0;
-  for (auto _ : state) {
-    const PackedObliviousResult r =
-        simulate_packed_oblivious(test_circuit(), ps);
-    evals = r.evaluations;
-    benchmark::DoNotOptimize(r.final_values.data());
-  }
-  state.SetItemsProcessed(state.iterations() * evals * 64);
-}
-BENCHMARK(BM_PackedOblivious);
 
 }  // namespace
 

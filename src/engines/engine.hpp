@@ -78,12 +78,7 @@ struct EngineConfig {
   /// the source block or the near-term frontier is only a clock edge.
   bool adaptive_lookahead = false;
 
-  // --- Oblivious knobs ---
-  /// Evaluate on the 64-lane packed value plane (sim/packed.hpp): every lane
-  /// carries the broadcast stimulus and lane 0 is extracted at the end, so
-  /// results stay bit-identical to the scalar sweep (Z on a primary-input
-  /// wire is restored from the raw stimulus after the packed run, which
-  /// collapses Z to X internally). Honored by run_oblivious_parallel only.
+  /// Ignored; goes once bench/suite stops assigning it.
   bool packed_plane = false;
 
   // --- Synchronous knobs ---
@@ -95,7 +90,6 @@ struct EngineConfig {
   // --- Time Warp knobs ---
   SaveMode save = SaveMode::Incremental;
   bool lazy_cancellation = false;  ///< Gafni's lazy cancellation (§IV)
-  std::uint32_t gvt_interval = 64; ///< batches between GVT reductions
   Tick optimism_window = 0;        ///< LVT may lead GVT by at most this (0 = unbounded)
   /// Per-LP optimism windows overriding optimism_window ([n_blocks]; entry 0
   /// = that LP is unbounded). Mutually exclusive with a global window.

@@ -16,7 +16,6 @@
 #include "logic/gates.hpp"
 #include "parallel/barrier.hpp"
 #include "parallel/threads.hpp"
-#include "sim/packed.hpp"
 #include "sim/plan.hpp"
 #include "trace/trace.hpp"
 #include "util/timer.hpp"
@@ -25,36 +24,8 @@ namespace plsim {
 
 namespace {
 
-// The two value planes the level sweep runs on. Scalar: one Logic4 per
-// signal, LUT evaluation. Packed: one 64-lane word per signal with the
-// stimulus broadcast to every lane and lane 0 read back, so knob-on results
-// are bit-identical to the scalar plane (engine_equivalence_test).
-struct ScalarPlane {
-  using Word = Logic4;
-  const EvalTables4& tb = eval_tables4();
-  static Word lower(Logic4 v) { return v; }
-  static Logic4 lift(Word w) { return w; }
-  static Word sample(Word d) { return z_to_x(d); }
-  Word eval(const SimPlan& sp, const PlanGate& rec, const Word* values) const {
-    return plan_eval4_gather(tb, rec.op, values, sp.fanins(rec).data(),
-                             rec.fanin_count);
-  }
-};
-
-struct PackedPlane {
-  using Word = PackedWord;
-  static Word lower(Logic4 v) { return packed_broadcast(v); }
-  static Logic4 lift(Word w) { return packed_get_lane(w, 0); }
-  // The packed plane cannot represent Z, so z_to_x is the identity.
-  static Word sample(Word d) { return d; }
-  static Word eval(const SimPlan& sp, const PlanGate& rec, const Word* values) {
-    return packed_eval_gather(rec.op, values, sp.fanins(rec).data(),
-                              rec.fanin_count);
-  }
-};
-
-/// The plane-independent half of the sweep: the per-(level, block) schedule
-/// and the per-worker counters.
+/// The level sweep: the per-(level, block) schedule, the per-worker counters
+/// and the threaded run over one Logic4 per signal with LUT evaluation.
 struct LevelSweep {
   LevelSweep(const Circuit& c, const SimPlan& plan, const Stimulus& s,
              Auditor* auditor)
@@ -91,13 +62,12 @@ struct LevelSweep {
   /// update. Returns the final values in plan-index space. Block b owns one
   /// dense slice of the shared value array; cross-thread reads are ordered
   /// by the barriers.
-  template <class Plane>
-  std::vector<Logic4> run(const Plane& plane, trace::Session& tsn) {
-    using Word = typename Plane::Word;
-    std::vector<Word> values(sp.size());
+  std::vector<Logic4> run(trace::Session& tsn) {
+    const EvalTables4& tb = eval_tables4();
+    std::vector<Logic4> values(sp.size());
     for (std::uint32_t pi = 0; pi < sp.size(); ++pi)
-      values[pi] = Plane::lower(plan_initial_value(sp.gate(pi).op));
-    std::vector<Word> next_q(sp.size(), Plane::lower(Logic4::F));
+      values[pi] = plan_initial_value(sp.gate(pi).op);
+    std::vector<Logic4> next_q(sp.size(), Logic4::F);
     MinReduceBarrier barrier(n);
 
     run_on_threads(n, [&](unsigned b) {
@@ -114,7 +84,7 @@ struct LevelSweep {
         if (b == 0 && cycle < stim.vectors.size()) {
           const auto& vec = stim.vectors[cycle];
           for (std::size_t i = 0; i < pi_plan.size() && i < vec.size(); ++i)
-            values[pi_plan[i]] = Plane::lower(vec[i]);
+            values[pi_plan[i]] = vec[i];
         }
         arrive(cycle);
         if (aud) {
@@ -127,7 +97,10 @@ struct LevelSweep {
                 tl, Eval, cycle,
                 static_cast<std::uint32_t>(schedule[lv][b].size()));
             for (std::uint32_t pi : schedule[lv][b]) {
-              values[pi] = plane.eval(sp, sp.gate(pi), values.data());
+              const PlanGate& rec = sp.gate(pi);
+              values[pi] = plan_eval4_gather(tb, rec.op, values.data(),
+                                             sp.fanins(rec).data(),
+                                             rec.fanin_count);
               ++evals[b];
             }
           }
@@ -139,7 +112,7 @@ struct LevelSweep {
         }
         if (cycle < stim.vectors.size()) {
           for (std::uint32_t ff : dff_of[b])
-            next_q[ff] = Plane::sample(values[sp.fanins(sp.gate(ff))[0]]);
+            next_q[ff] = z_to_x(values[sp.fanins(sp.gate(ff))[0]]);
           arrive(cycle);
           if (aud) {
             aud->on_dff(b, dff_of[b].size());
@@ -149,11 +122,7 @@ struct LevelSweep {
         }
       }
     });
-
-    std::vector<Logic4> out(sp.size());
-    for (std::uint32_t pi = 0; pi < sp.size(); ++pi)
-      out[pi] = Plane::lift(values[pi]);
-    return out;
+    return values;
   }
 };
 
@@ -210,24 +179,12 @@ RunResult run_oblivious_parallel(const Circuit& c, const Stimulus& stim,
 
   LevelSweep sweep(c, sp, stim, aud ? &*aud : nullptr);
   trace::Session tsn("oblivious-parallel", n);
-  const std::vector<Logic4> values = cfg.packed_plane
-                                         ? sweep.run(PackedPlane{}, tsn)
-                                         : sweep.run(ScalarPlane{}, tsn);
+  const std::vector<Logic4> values = sweep.run(tsn);
 
   RunResult r;
   r.final_values.assign(c.gate_count(), Logic4::X);
   for (std::uint32_t pi = 0; pi < sp.size(); ++pi)
     r.final_values[sp.gate_of(pi)] = values[pi];
-  if (cfg.packed_plane) {
-    // The scalar sweep leaves raw stimulus values (Z included) on primary
-    // inputs; the packed plane lowered them to X, so restore from the source.
-    for (std::size_t i = 0; i < sweep.pi_plan.size(); ++i)
-      for (auto vec = stim.vectors.rbegin(); vec != stim.vectors.rend(); ++vec)
-        if (i < vec->size()) {
-          r.final_values[sp.gate_of(sweep.pi_plan[i])] = (*vec)[i];
-          break;
-        }
-  }
   for (std::uint32_t b = 0; b < n; ++b) {
     r.stats.evaluations += sweep.evals[b];
     r.stats.barriers += sweep.barriers[b];

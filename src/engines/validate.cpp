@@ -21,13 +21,6 @@ void validate_engine_config(const EngineConfig& cfg, std::uint32_t n_blocks,
     reject(engine, "cp_guided and activity_feedback are both two-pass "
                    "drivers; pick one (cp_guided composes the schedule "
                    "itself via schedule_blocks)");
-  // packed_plane is honored only by the oblivious engine, which ignores
-  // activity feedback (it evaluates every gate regardless) — no engine
-  // honors both, so the combination can only mislead.
-  if (cfg.activity_feedback && cfg.packed_plane)
-    reject(engine, "activity_feedback with packed_plane: no engine honors "
-                   "both (packed_plane is oblivious-only and the oblivious "
-                   "engine cannot use activity feedback)");
   // A precompiled rig froze circuit, partition and plan at compile time;
   // any driver that reshapes the partition afterwards would run the plan on
   // a partition it was not compiled for.

@@ -6,11 +6,9 @@
 // threads observe the combined minimum after release — exactly the
 // "global minimum next event time" step of the synchronous algorithm.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "netlist/circuit.hpp"
 
@@ -49,80 +47,6 @@ class MinReduceBarrier {
   std::atomic<std::uint32_t> arrived_;
   std::atomic<bool> sense_;
   std::atomic<Tick> value_;
-  Tick result_ = kTickInf;
-};
-
-/// Combining-tree min-reduce barrier: contributions merge pairwise up a
-/// binary tree (log2 P rounds of point-to-point signalling) instead of all
-/// parties CASing one shared slot — the structure the cost model's
-/// `barrier_tree` flag charges for (hops = log2 P, not P). Unlike the
-/// central barrier, each thread carries a stable id in [0, parties); thread
-/// `who` pairs with `who + span` at every level, the lower index carrying
-/// the combined minimum upward. Thread 0 reaches the root with the global
-/// minimum and releases everyone through a monotonic epoch broadcast.
-///
-/// Episode counters never reset (rounds are compared with >=), so the
-/// barrier is reusable indefinitely with no reinitialization races.
-class TreeMinReduceBarrier {
- public:
-  explicit TreeMinReduceBarrier(std::uint32_t parties)
-      : parties_(parties), episode_(parties) {
-    for (std::uint32_t span = 1; span < parties_; span <<= 1)
-      levels_.emplace_back((parties_ + 2 * span - 1) / (2 * span));
-  }
-
-  TreeMinReduceBarrier(const TreeMinReduceBarrier&) = delete;
-  TreeMinReduceBarrier& operator=(const TreeMinReduceBarrier&) = delete;
-
-  /// Arrive as thread `who` with a local contribution; returns the global
-  /// minimum once all parties have arrived. Every party must use a distinct
-  /// id and all parties must arrive the same number of times.
-  Tick arrive(std::uint32_t who, Tick local_min) {
-    if (parties_ == 1) return local_min;
-    const std::uint64_t r = ++episode_[who].v;
-    Tick acc = local_min;
-    std::uint32_t span = 1;
-    for (std::size_t l = 0; l < levels_.size(); ++l, span <<= 1) {
-      const std::uint32_t stride = 2 * span;
-      Node& nd = levels_[l][who / stride];
-      if (who % stride != 0) {
-        // Loser at this level: post the partial minimum for the partner,
-        // then wait for the root's release.
-        nd.value.store(acc, std::memory_order_relaxed);
-        nd.round.store(r, std::memory_order_release);
-        while (release_.load(std::memory_order_acquire) < r)
-          std::this_thread::yield();
-        return result_;
-      }
-      const std::uint32_t partner = who + span;
-      if (partner < parties_) {
-        while (nd.round.load(std::memory_order_acquire) < r)
-          std::this_thread::yield();
-        acc = std::min(acc, nd.value.load(std::memory_order_relaxed));
-      }
-    }
-    // Thread 0 holds the global minimum. result_ is a plain field: the
-    // release store below publishes it, and no thread can start the next
-    // episode before every thread has consumed this one (the tree cannot
-    // re-fill until all parties re-arrive).
-    result_ = acc;
-    release_.store(r, std::memory_order_release);
-    return acc;
-  }
-
- private:
-  struct alignas(64) Node {
-    std::atomic<std::uint64_t> round{0};
-    std::atomic<Tick> value{0};
-  };
-  struct alignas(64) Episode {
-    std::uint64_t v = 0;  ///< owned by one thread; no sharing
-  };
-
-  const std::uint32_t parties_;
-  std::vector<std::vector<Node>> levels_;  ///< [level][who / (2^(l+1))]
-  std::vector<Episode> episode_;
-  std::atomic<std::uint64_t> release_{0};
   Tick result_ = kTickInf;
 };
 

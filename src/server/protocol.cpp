@@ -217,13 +217,15 @@ bool parse_job_request(const std::string& payload, JobRequest& req,
     }
     if (req.stimulus.cycles == 0 || req.stimulus.cycles > 100000)
       raise("plsim-job-v1: stimulus.cycles out of range [1, 100000]");
+    // The horizon is period * (cycles + 1) in 64-bit ticks; an unbounded
+    // period wraps it and scrambles the vector timeline.
+    if (req.stimulus.period == 0 || req.stimulus.period > 1000000)
+      raise("plsim-job-v1: stimulus.period out of range [1, 1000000]");
     if (req.circuit.kind == CircuitSpec::Kind::Generator) {
       const std::uint64_t gates = generated_gates(req.circuit);
       if (gates == 0 || gates > 1000000)
         raise("plsim-job-v1: generator size out of range [1, 1000000] gates");
     }
-    if (req.stimulus.period == 0)
-      raise("plsim-job-v1: stimulus.period must be >= 1");
     req.engine = require(doc, "engine").as_string("");
     if (!known_engine(req.engine))
       raise("plsim-job-v1: unknown engine '" + req.engine + "'");

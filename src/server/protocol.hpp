@@ -61,7 +61,8 @@ struct JobRequest {
   // EngineConfig subset meaningful over the wire; the service fills the
   // rest (notably `compiled`) itself.
   PlanOpt plan_opt = PlanOpt::Safe;
-  bool packed_plane = false;        ///< oblivious only
+  /// Parsed and serialized, then ignored; goes when bench/suite drops it.
+  bool packed_plane = false;
   bool time_buckets = false;        ///< sync only
   bool adaptive_lookahead = false;  ///< conservative only
   bool lazy_cancellation = false;   ///< timewarp only

@@ -269,7 +269,6 @@ JobResponse Service::execute(const JobRequest& req) {
       resp.cache = "bypass";
       EngineConfig cfg;
       cfg.plan_opt = req.plan_opt;
-      cfg.packed_plane = req.packed_plane;
       const Partition p = partition_round_robin(c, req.blocks);
       result = run_oblivious_parallel(c, stim, p, cfg);
     } else {

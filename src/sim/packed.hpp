@@ -5,71 +5,33 @@
 // bitwise word operations — 64 effective gate evaluations for roughly the
 // cost of one.
 //
-// Two packed codomains live here:
-//
-//   PackedWord   64 lanes of *3-valued* logic {0, 1, X}: `v` holds the lane
-//                value bit, `x` marks unknown lanes. The event-driven and
-//                levelized packed executors (seq/packed_sim.hpp,
-//                core/packed_block.hpp) run on this so each lane is
-//                bit-identical to the 4-valued interpretive oracle — X
-//                transients included.
-//
-//   uint64_t     64 lanes of pure *2-valued* logic, the fault simulator's
-//                plane (good machine on lane 0, 63 fault machines on lanes
-//                1..63). Only legal for binary-by-construction inputs.
-//
-// Lane-lowering policy for 4-valued inputs (documented here, asserted in
-// pack_lane / the packed executors):
-//
-//   3-valued plane:  F -> (v=0,x=0)   T -> (v=1,x=0)
-//                    X -> (v=0,x=1)   Z -> (v=0,x=1)
-//   Z collapses to X — exactly the z_to_x conversion every gate input
-//   applies in the 4-valued system, so lowering before evaluation commutes
-//   with evaluating then lowering. The invariant v & x == 0 (an unknown
-//   lane's value bit is 0) is normalized by every kernel below.
-//
-//   2-valued plane:  F -> 0, T -> 1; X and Z are *rejected* (PLSIM_ASSERT) —
-//   the fault plane has no way to represent them, so callers must prove
-//   their stimulus binary first (pack2_lanes checks).
+// The plane is pure *2-valued* logic, the fault simulator's: the good
+// machine rides lane 0 and 63 fault machines ride lanes 1..63. Lowering a
+// 4-valued input maps F -> 0 and T -> 1; X and Z are *rejected*
+// (PLSIM_ASSERT) because the plane has no way to represent them, so callers
+// must prove their stimulus binary first.
 //
 // All raw uint64_t lane arithmetic in src/ is confined to this translation
 // unit (lint rule `packed-lane`): everything else goes through the named
-// helpers below, so the X-collapse and lane-0 conventions live in one place.
+// helpers below, so the lane-0 conventions live in one place.
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "logic/gates.hpp"
 #include "logic/value.hpp"
-#include "netlist/circuit.hpp"
-#include "sim/plan.hpp"
-#include "stim/stimulus.hpp"
 #include "util/error.hpp"
 
 namespace plsim {
 
-inline constexpr unsigned kPackedLanes = 64;
-
-/// 64 lanes of 3-valued logic. Invariant: v & x == 0.
-struct PackedWord {
-  std::uint64_t v = 0;  ///< lane value bit (1 = T); 0 wherever x is set
-  std::uint64_t x = 0;  ///< lane unknown bit (X; Z lowers to X)
-
-  friend constexpr bool operator==(const PackedWord&,
-                                   const PackedWord&) = default;
-};
-
 // ------------------------------------------------------------ lane helpers --
 
-/// All 64 lanes selected.
-inline constexpr std::uint64_t kAllLanes = ~0ull;
 /// The 63 fault-machine lanes (everything but the good machine on lane 0).
 inline constexpr std::uint64_t kFaultLanes = ~1ull;
 
 inline constexpr std::uint64_t lane_mask(unsigned lane) { return 1ull << lane; }
 
-/// Broadcast a Boolean across all lanes of the 2-valued plane.
+/// Broadcast a Boolean across all lanes.
 inline constexpr std::uint64_t lanes_from_bool(bool b) { return b ? ~0ull : 0ull; }
 
 /// Broadcast lane 0 of `w` across all lanes — the fault simulators' good
@@ -85,145 +47,18 @@ inline constexpr std::uint64_t forced_word(std::uint64_t w, std::uint64_t mask,
   return (w & ~mask) | (val & mask);
 }
 
-/// Lanes where `a` and `b` differ (in value or knownness).
-inline constexpr std::uint64_t packed_diff(PackedWord a, PackedWord b) {
-  return (a.v ^ b.v) | (a.x ^ b.x);
-}
-
-// ------------------------------------------------------- lowering / lifting --
-
-/// Lower one 4-valued value into all 64 lanes.
-inline constexpr PackedWord packed_broadcast(Logic4 value) {
-  switch (value) {
-    case Logic4::F: return {0, 0};
-    case Logic4::T: return {~0ull, 0};
-    default: return {0, ~0ull};  // X and Z both lower to X
-  }
-}
-
-/// Lower one 4-valued value into lane `lane` of `w`.
-inline constexpr void packed_set_lane(PackedWord& w, unsigned lane,
-                                      Logic4 value) {
-  const std::uint64_t bit = lane_mask(lane);
-  w.v &= ~bit;
-  w.x &= ~bit;
-  switch (z_to_x(value)) {  // lowering policy: Z collapses to X
-    case Logic4::T: w.v |= bit; break;
-    case Logic4::X: w.x |= bit; break;
-    default: break;
-  }
-}
-
-/// Lift lane `lane` back to a 4-valued value (never Z: the plane cannot
-/// represent it, by the lowering policy).
-inline constexpr Logic4 packed_get_lane(PackedWord w, unsigned lane) {
-  const std::uint64_t bit = lane_mask(lane);
-  if (w.x & bit) return Logic4::X;
-  return (w.v & bit) ? Logic4::T : Logic4::F;
-}
-
-/// Lower a 4-valued value onto the 2-valued fault plane. X/Z have no
-/// representation there — binary inputs only, asserted.
+/// Lower a 4-valued value into all lanes. X/Z have no representation here —
+/// binary inputs only, asserted.
 inline constexpr std::uint64_t pack2_broadcast(Logic4 value) {
   PLSIM_ASSERT(is_binary(value));
   return lanes_from_bool(value == Logic4::T);
 }
 
-// ----------------------------------------------- 3-valued word-wide kernels --
+// ------------------------------------------------------ word-wide kernel --
 
-// Derived from the Kleene truth tables of logic/value.hpp; each formula is
-// verified exhaustively against eval_gate4 (tests/packed_test.cpp). The
-// AND/OR/XOR reductions are associative over {0,1,X}, so the left fold below
-// matches the interpreter's fold for any arity.
-
-inline constexpr PackedWord packed_not(PackedWord a) {
-  return {~a.v & ~a.x, a.x};
-}
-
-inline constexpr PackedWord packed_and(PackedWord a, PackedWord b) {
-  // A lane is 0 if either input is a known 0; unknown only if some input is
-  // unknown and none is a known 0.
-  const std::uint64_t known0 = (~a.v & ~a.x) | (~b.v & ~b.x);
-  return {a.v & b.v, (a.x | b.x) & ~known0};
-}
-
-inline constexpr PackedWord packed_or(PackedWord a, PackedWord b) {
-  const std::uint64_t rv = a.v | b.v;  // 1 if either input is a known 1
-  return {rv, (a.x | b.x) & ~rv};
-}
-
-inline constexpr PackedWord packed_xor(PackedWord a, PackedWord b) {
-  const std::uint64_t rx = a.x | b.x;  // any unknown input poisons the lane
-  return {(a.v ^ b.v) & ~rx, rx};
-}
-
-inline constexpr PackedWord packed_mux(PackedWord s, PackedWord d0,
-                                       PackedWord d1) {
-  // Known select picks the chosen data lane; unknown select is known only
-  // where both data inputs agree on a binary value (matches eval_gate4).
-  const std::uint64_t pickv = (~s.v & d0.v) | (s.v & d1.v);
-  const std::uint64_t pickx = (~s.v & d0.x) | (s.v & d1.x);
-  return {(~s.x & pickv) | (s.x & d0.v & d1.v),
-          (~s.x & pickx) | (s.x & (d0.x | d1.x | (d0.v ^ d1.v)))};
-}
-
-/// Word-at-a-time 3-valued gate evaluation with operand gather: operands are
+/// Word-at-a-time 2-valued gate evaluation with operand gather: operands are
 /// read straight out of a value array through a compiled fanin index list
-/// (mirrors plan_eval4_gather). 64 lanes per call.
-inline PackedWord packed_eval_gather(GateType op, const PackedWord* values,
-                                     const std::uint32_t* fanin,
-                                     std::size_t n) {
-  switch (op) {
-    case GateType::Const0: return {0, 0};
-    case GateType::Const1: return {~0ull, 0};
-    case GateType::Buf: return values[fanin[0]];  // z_to_x is identity here
-    case GateType::Not: return packed_not(values[fanin[0]]);
-    case GateType::And:
-    case GateType::Nand: {
-      PackedWord acc = values[fanin[0]];
-      for (std::size_t k = 1; k < n; ++k)
-        acc = packed_and(acc, values[fanin[k]]);
-      return op == GateType::And ? acc : packed_not(acc);
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      PackedWord acc = values[fanin[0]];
-      for (std::size_t k = 1; k < n; ++k)
-        acc = packed_or(acc, values[fanin[k]]);
-      return op == GateType::Or ? acc : packed_not(acc);
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      PackedWord acc = values[fanin[0]];
-      for (std::size_t k = 1; k < n; ++k)
-        acc = packed_xor(acc, values[fanin[k]]);
-      return op == GateType::Xor ? acc : packed_not(acc);
-    }
-    case GateType::Mux:
-      return packed_mux(values[fanin[0]], values[fanin[1]], values[fanin[2]]);
-    case GateType::Input:
-    case GateType::Dff:
-      break;
-  }
-  raise("packed_eval_gather: gate has no combinational function");
-}
-
-/// Contiguous-operand variant (differential tests, ad-hoc callers).
-inline PackedWord packed_eval(GateType op, std::span<const PackedWord> ins) {
-  // Identity gather: fanin[k] == k.
-  static constexpr std::uint32_t kIota[64] = {
-      0,  1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13, 14, 15,
-      16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
-      32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
-      48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63};
-  PLSIM_ASSERT(ins.size() <= 64);
-  return packed_eval_gather(op, ins.data(), kIota, ins.size());
-}
-
-// ----------------------------------------------- 2-valued word-wide kernels --
-
-/// Word-at-a-time 2-valued gate evaluation with operand gather — the fault
-/// plane's kernel (bit-identical to eval_gate64, minus the operand copy).
+/// (bit-identical to eval_gate64, minus the operand copy).
 inline std::uint64_t packed2_eval_gather(GateType op,
                                          const std::uint64_t* values,
                                          const std::uint32_t* fanin,
@@ -261,67 +96,5 @@ inline std::uint64_t packed2_eval_gather(GateType op,
   }
   raise("packed2_eval_gather: gate has no combinational function");
 }
-
-// ------------------------------------------------------------ packed plans --
-
-/// Per-block dense packed value slices mirroring the PR-4 BlockPlan layout:
-/// for each block, init_values lane-lowered into PackedWords (local index
-/// space, owned first then boundary), plus the whole-plan slice in plan-index
-/// space. Immutable after build, shared across executors like SimPlan itself.
-class PackedPlan {
- public:
-  static std::shared_ptr<const PackedPlan> build(
-      std::shared_ptr<const SimPlan> plan);
-
-  const SimPlan& plan() const { return *plan_; }
-  const std::shared_ptr<const SimPlan>& plan_ptr() const { return plan_; }
-
-  /// Packed initial values in plan-index space ([plan.size()]).
-  std::span<const PackedWord> whole_init() const { return whole_init_; }
-  /// Packed initial values of block `b` in local index space ([n_local]).
-  std::span<const PackedWord> block_init(std::uint32_t b) const {
-    return block_init_[b];
-  }
-
- private:
-  std::shared_ptr<const SimPlan> plan_;
-  std::vector<PackedWord> whole_init_;
-  std::vector<std::vector<PackedWord>> block_init_;
-};
-
-// ---------------------------------------------------------- packed stimulus --
-
-/// A 64-lane stimulus: lane b of word vectors[k][i] is the value primary
-/// input i takes during cycle k in simulation lane b. Same clocking contract
-/// as the scalar Stimulus (vector k applies at k * period; horizon one full
-/// period after the last vector). Lanes are binary by construction — the
-/// generators below emit only 0/1 — but the words are 3-valued so broadcast
-/// of an X-bearing scalar stimulus is representable.
-struct PackedStimulus {
-  Tick period = 10;
-  std::vector<std::vector<PackedWord>> vectors;  ///< [cycle][primary input]
-
-  std::size_t cycles() const { return vectors.size(); }
-  Tick horizon() const { return period * (vectors.size() + 1); }
-};
-
-/// Broadcast a scalar stimulus into all 64 lanes (Z lowers to X).
-PackedStimulus pack_broadcast(const Circuit& c, const Stimulus& s);
-
-/// Pack up to 64 scalar stimuli, one per lane (all must share period and
-/// cycle count; missing lanes repeat lane 0). Z lowers to X.
-PackedStimulus pack_lanes(const Circuit& c, std::span<const Stimulus> lanes);
-
-/// Extract one lane back into a scalar stimulus (X stays X; never Z).
-Stimulus unpack_lane(const Circuit& c, const PackedStimulus& ps, unsigned lane);
-
-/// 64 decorrelated random binary streams. Each (primary input, lane) pair
-/// gets an independent SplitMix64-mixed seed — not sequentially incremented
-/// seeds, which would correlate lanes once 64 vectors ride one word — then
-/// follows the scalar random_stimulus shape: cycle 0 uniform over {0,1},
-/// afterwards each lane toggles with probability `activity` per cycle.
-PackedStimulus random_packed_stimulus(const Circuit& c, std::size_t cycles,
-                                      double activity, std::uint64_t seed,
-                                      Tick period = 10);
 
 }  // namespace plsim

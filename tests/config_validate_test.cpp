@@ -41,13 +41,6 @@ TEST(ConfigValidate, CpGuidedWithActivityFeedbackIsRejected) {
   EXPECT_NE(why.find("two-pass"), std::string::npos) << why;
 }
 
-TEST(ConfigValidate, ActivityFeedbackWithPackedPlaneIsRejected) {
-  EngineConfig cfg;
-  cfg.activity_feedback = true;
-  cfg.packed_plane = true;
-  EXPECT_NE(why_rejected(cfg).find("packed_plane"), std::string::npos);
-}
-
 TEST(ConfigValidate, CpGuidedWithExplicitLpOptimismIsRejected) {
   EngineConfig cfg;
   cfg.cp_guided = true;

@@ -1,14 +1,12 @@
 // Tests for the circuit generators: structural invariants, determinism, and
 // functional correctness of the arithmetic and sequential circuits (checked
-// against host arithmetic and software models, 64 lanes at a time, through
-// the packed levelized sweep).
+// against host arithmetic and software models through the levelized sweep).
 
 #include <gtest/gtest.h>
 
 #include "netlist/generators.hpp"
 #include "netlist/stats.hpp"
-#include "seq/packed_sim.hpp"
-#include "sim/packed.hpp"
+#include "seq/oblivious.hpp"
 #include "util/rng.hpp"
 
 namespace plsim {
@@ -66,8 +64,9 @@ TEST(RandomCircuit, FineDelays) {
   EXPECT_LE(hi, 9u);
 }
 
-// The arithmetic checks below drive 64 independent lanes through the packed
-// levelized sweep: one scalar stimulus per lane, packed with pack_lanes.
+// The arithmetic and sequential checks below run 64 seeded cases each, one
+// scalar levelized sweep per case.
+constexpr int kCases = 64;
 
 /// `n` primary-input values holding the low `n` bits of `value` (bit i on
 /// input i).
@@ -77,23 +76,22 @@ std::vector<Logic4> bits_of(std::uint64_t value, int n) {
   return v;
 }
 
-/// One stimulus per lane with the given per-cycle input vectors.
-Stimulus lane_stimulus(std::vector<std::vector<Logic4>> vectors) {
+/// A stimulus with the given per-cycle input vectors.
+Stimulus case_stimulus(std::vector<std::vector<Logic4>> vectors) {
   Stimulus s;
   s.period = 10;
   s.vectors = std::move(vectors);
   return s;
 }
 
-/// The primary outputs of one lane read as an unsigned integer (bit i =
-/// output i); every output must have settled to a binary value.
-std::uint64_t lane_outputs(const Circuit& c, const PackedObliviousResult& r,
-                           unsigned lane) {
+/// The primary outputs read as an unsigned integer (bit i = output i);
+/// every output must have settled to a binary value.
+std::uint64_t outputs_of(const Circuit& c, const ObliviousResult& r) {
   std::uint64_t got = 0;
   const auto pos = c.primary_outputs();
   for (std::size_t i = 0; i < pos.size(); ++i) {
-    const Logic4 v = packed_get_lane(r.final_values[pos[i]], lane);
-    EXPECT_TRUE(is_binary(v)) << "lane " << lane << " output " << i;
+    const Logic4 v = r.final_values[pos[i]];
+    EXPECT_TRUE(is_binary(v)) << "output " << i;
     if (v == Logic4::T) got |= 1ull << i;
   }
   return got;
@@ -106,21 +104,16 @@ TEST(RippleAdder, AddsCorrectly) {
   ASSERT_EQ(c.primary_outputs().size(), std::size_t(bits + 1));
 
   Rng rng(5);
-  std::vector<std::uint64_t> expect;
-  std::vector<Stimulus> lanes;
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
+  for (int k = 0; k < kCases; ++k) {
     const std::uint64_t a = rng.uniform(1ull << bits);
     const std::uint64_t b = rng.uniform(1ull << bits);
     const std::uint64_t cin = rng.uniform(2);
     // Inputs are a[0..bits), b[0..bits), cin.
-    lanes.push_back(lane_stimulus(
-        {bits_of(a | b << bits | cin << (2 * bits), 2 * bits + 1)}));
-    expect.push_back(a + b + cin);
+    const ObliviousResult r = simulate_oblivious(
+        c, case_stimulus(
+               {bits_of(a | b << bits | cin << (2 * bits), 2 * bits + 1)}));
+    EXPECT_EQ(outputs_of(c, r), a + b + cin) << "case " << k;
   }
-  const PackedObliviousResult r =
-      simulate_packed_oblivious(c, pack_lanes(c, lanes));
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane)
-    EXPECT_EQ(lane_outputs(c, r, lane), expect[lane]) << "lane " << lane;
 }
 
 TEST(ArrayMultiplier, MultipliesCorrectly) {
@@ -129,18 +122,13 @@ TEST(ArrayMultiplier, MultipliesCorrectly) {
   ASSERT_EQ(c.primary_outputs().size(), std::size_t(2 * bits));
 
   Rng rng(9);
-  std::vector<std::uint64_t> expect;
-  std::vector<Stimulus> lanes;
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
+  for (int k = 0; k < kCases; ++k) {
     const std::uint64_t a = rng.uniform(1ull << bits);
     const std::uint64_t b = rng.uniform(1ull << bits);
-    lanes.push_back(lane_stimulus({bits_of(a | b << bits, 2 * bits)}));
-    expect.push_back(a * b);
+    const ObliviousResult r = simulate_oblivious(
+        c, case_stimulus({bits_of(a | b << bits, 2 * bits)}));
+    EXPECT_EQ(outputs_of(c, r), a * b) << "case " << k;
   }
-  const PackedObliviousResult r =
-      simulate_packed_oblivious(c, pack_lanes(c, lanes));
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane)
-    EXPECT_EQ(lane_outputs(c, r, lane), expect[lane]) << "lane " << lane;
 }
 
 TEST(Counter, CountsCycles) {
@@ -148,31 +136,24 @@ TEST(Counter, CountsCycles) {
   const Circuit c = counter(bits);
   const int cycles = 11;
   // Enable high for all 11 cycles: the counter must read 11 afterwards.
-  const PackedObliviousResult all = simulate_packed_oblivious(
-      c, pack_broadcast(c, lane_stimulus(std::vector<std::vector<Logic4>>(
-                               cycles, {Logic4::T}))));
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane)
-    EXPECT_EQ(lane_outputs(c, all, lane), 11u) << "lane " << lane;
+  const ObliviousResult all = simulate_oblivious(
+      c, case_stimulus(std::vector<std::vector<Logic4>>(cycles, {Logic4::T})));
+  EXPECT_EQ(outputs_of(c, all), 11u);
 
-  // Per-lane random enables: each lane counts its own enabled cycles.
+  // Random enables: each case counts its own enabled cycles.
   Rng rng(13);
-  std::vector<std::uint64_t> expect;
-  std::vector<Stimulus> lanes;
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
+  for (int k = 0; k < kCases; ++k) {
     std::vector<std::vector<Logic4>> vecs;
     std::uint64_t enabled = 0;
-    for (int k = 0; k < cycles; ++k) {
+    for (int t = 0; t < cycles; ++t) {
       const bool en = rng.uniform(2) != 0;
       enabled += en;
       vecs.push_back({logic4_from_bool(en)});
     }
-    lanes.push_back(lane_stimulus(std::move(vecs)));
-    expect.push_back(enabled);
+    const ObliviousResult r =
+        simulate_oblivious(c, case_stimulus(std::move(vecs)));
+    EXPECT_EQ(outputs_of(c, r), enabled) << "case " << k;
   }
-  const PackedObliviousResult r =
-      simulate_packed_oblivious(c, pack_lanes(c, lanes));
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane)
-    EXPECT_EQ(lane_outputs(c, r, lane), expect[lane]) << "lane " << lane;
 }
 
 TEST(Lfsr, MatchesSoftwareModel) {
@@ -180,32 +161,26 @@ TEST(Lfsr, MatchesSoftwareModel) {
   const std::vector<int> taps = {7, 5, 4, 3};
   const Circuit c = lfsr(bits, taps);
   const int cycles = 40;
-  // Random serial input per lane, so every register leaves the all-zero
+  // Random serial input per case, so every register leaves the all-zero
   // state along its own trajectory.
   Rng rng(3);
-  std::vector<int> expect;
-  std::vector<Stimulus> lanes;
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
+  const GateId out = c.primary_outputs()[0];
+  for (int k = 0; k < kCases; ++k) {
     std::vector<std::vector<Logic4>> vecs;
     std::vector<int> q(bits, 0);  // software model of the Fibonacci LFSR
-    for (int k = 0; k < cycles; ++k) {
+    for (int t = 0; t < cycles; ++t) {
       const int bit = static_cast<int>(rng.uniform(2));
       vecs.push_back({logic4_from_bool(bit != 0)});
       int fb = bit;
-      for (int t : taps) fb ^= q[t];
+      for (int tap : taps) fb ^= q[tap];
       for (int i = bits - 1; i > 0; --i) q[i] = q[i - 1];
       q[0] = fb;
     }
-    lanes.push_back(lane_stimulus(std::move(vecs)));
-    expect.push_back(q[bits - 1]);
+    const ObliviousResult r =
+        simulate_oblivious(c, case_stimulus(std::move(vecs)));
+    EXPECT_EQ(r.final_values[out], logic4_from_bool(q[bits - 1] != 0))
+        << "case " << k;
   }
-  const PackedObliviousResult r =
-      simulate_packed_oblivious(c, pack_lanes(c, lanes));
-  const GateId out = c.primary_outputs()[0];
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane)
-    EXPECT_EQ(packed_get_lane(r.final_values[out], lane),
-              logic4_from_bool(expect[lane] != 0))
-        << "lane " << lane;
 }
 
 TEST(Pipeline, StructureAndDeterminism) {

@@ -9,6 +9,7 @@
 #include "logic/gates.hpp"
 #include "logic/logic9.hpp"
 #include "logic/value.hpp"
+#include "sim/packed.hpp"
 #include "util/rng.hpp"
 
 namespace plsim {
@@ -231,6 +232,35 @@ TEST(Gates, Scalar64LaneConsistencyProperty) {
       const Logic4 expect = eval_gate4(t, ins);
       EXPECT_EQ((out >> lane) & 1, expect == Logic4::T ? 1u : 0u)
           << gate_type_name(t) << " lane " << lane;
+    }
+  }
+}
+
+TEST(Gates, Packed2GatherMatchesEvalGate64) {
+  // The fault plane's gather kernel (sim/packed.hpp) is bit-identical to
+  // eval_gate64 on random words.
+  std::uint64_t state = 0x5eedULL;
+  const std::uint32_t iota[4] = {0, 1, 2, 3};
+  struct Case {
+    GateType t;
+    std::size_t lo, hi;  // arity range
+  };
+  const Case cases[] = {
+      {GateType::Buf, 1, 1},  {GateType::Not, 1, 1},
+      {GateType::And, 2, 4},  {GateType::Or, 2, 4},
+      {GateType::Xor, 2, 4},  {GateType::Nand, 2, 4},
+      {GateType::Nor, 2, 4},  {GateType::Xnor, 2, 4},
+      {GateType::Mux, 3, 3},
+  };
+  for (const Case& cs : cases) {
+    for (std::size_t n = cs.lo; n <= cs.hi; ++n) {
+      for (int trial = 0; trial < 64; ++trial) {
+        std::vector<std::uint64_t> ins(n);
+        for (auto& w : ins) w = splitmix64_next(state);
+        EXPECT_EQ(packed2_eval_gather(cs.t, ins.data(), iota, n),
+                  eval_gate64(cs.t, ins))
+            << "op=" << static_cast<int>(cs.t) << " arity=" << n;
+      }
     }
   }
 }

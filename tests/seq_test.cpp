@@ -1,6 +1,6 @@
 // Tests for the sequential simulators: event-driven golden semantics (timing,
-// DFF sampling, selective trace), and cross-equivalence between golden,
-// oblivious and packed (64-lane) oblivious execution styles.
+// DFF sampling, selective trace), and cross-equivalence between the golden
+// and oblivious execution styles.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,6 @@
 #include "partition/activity.hpp"
 #include "seq/golden.hpp"
 #include "seq/oblivious.hpp"
-#include "seq/packed_sim.hpp"
-#include "sim/packed.hpp"
 
 namespace plsim {
 namespace {
@@ -134,11 +132,11 @@ TEST(Golden, WaveHashIsDeterministic) {
   EXPECT_GT(a.stats.wire_events, 100u);
 }
 
-// Equivalence: golden (ample period) vs oblivious (zero-delay cycle) vs
-// packed oblivious (64 lanes, one stimulus each), across generated circuits.
+// Equivalence: golden (ample period) vs oblivious (zero-delay cycle), across
+// generated circuits.
 class SeqEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SeqEquivalence, GoldenObliviousPackedAgree) {
+TEST_P(SeqEquivalence, GoldenObliviousAgree) {
   RandomCircuitSpec spec;
   spec.n_gates = 350;
   spec.n_inputs = 12;
@@ -154,22 +152,6 @@ TEST_P(SeqEquivalence, GoldenObliviousPackedAgree) {
   const RunResult golden = simulate_golden(c, s);
   const ObliviousResult obl = simulate_oblivious(c, s);
   EXPECT_EQ(golden.final_values, obl.final_values) << "seed " << GetParam();
-
-  // Lane 0 runs `s`; every other lane its own stimulus. Each lane must equal
-  // the scalar oblivious sweep of its stimulus, X included.
-  std::vector<Stimulus> lanes = {s};
-  for (unsigned lane = 1; lane < kPackedLanes; ++lane)
-    lanes.push_back(
-        random_stimulus(c, 40, 0.35, GetParam() * 1000 + lane, period));
-  const PackedObliviousResult packed =
-      simulate_packed_oblivious(c, pack_lanes(c, lanes));
-  for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
-    const std::vector<Logic4> ref =
-        lane == 0 ? golden.final_values
-                  : simulate_oblivious(c, lanes[lane]).final_values;
-    EXPECT_EQ(unpack_lane_values(packed.final_values, lane), ref)
-        << "lane " << lane << " seed " << GetParam();
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeqEquivalence,

@@ -183,6 +183,54 @@ TEST(Service, GeneratorSizesRangeCheckedBeforeNarrowing) {
   }
 }
 
+TEST(Service, StimulusPeriodRangeChecked) {
+  // Stimulus::horizon() is period * (cycles + 1) in 64-bit ticks. Period
+  // 2^62 wrapped it to 0 and failed late with a misleading engine error;
+  // 6148914691236517206 wrapped it to 2 ticks past the first period and put
+  // vector 3 at tick 2, a scrambled timeline every engine then answered ok.
+  const auto job = [](const std::string& period) {
+    return R"({"schema": "plsim-job-v1", "id": 79, "engine": "sync",
+               "circuit": {"builtin": "s27"},
+               "stimulus": {"cycles": 3, "period": )" + period + "}}";
+  };
+  JobRequest req;
+  JobResponse resp;
+  EXPECT_TRUE(parse_job_request(job("1000000"), req, resp)) << resp.error;
+  EXPECT_EQ(req.stimulus.period, 1000000u);
+  for (const char* bad : {"1000001", "4611686018427387904",
+                          "6148914691236517206", "0"}) {
+    EXPECT_FALSE(parse_job_request(job(bad), req, resp)) << bad;
+    EXPECT_EQ(resp.code, JobErrorCode::BadRequest) << bad;
+    EXPECT_EQ(resp.id, 79u) << bad;
+    EXPECT_NE(resp.error.find("stimulus.period"), std::string::npos) << bad;
+  }
+}
+
+TEST(Service, ObliviousJobIgnoresPackedKey) {
+  // plsim_load, c15 and bench/suite still send config.packed_plane on
+  // oblivious jobs. The key survives the wire round trip and changes no
+  // result.
+  Service service(ServiceConfig{});
+  for (const PlanOpt opt : {PlanOpt::None, PlanOpt::Safe}) {
+    std::vector<JobResponse> answers;
+    for (const bool packed : {false, true}) {
+      JobRequest sent = scaled_job("oblivious", 1000, 5);
+      sent.blocks = 2;
+      sent.plan_opt = opt;
+      sent.packed_plane = packed;
+      JobRequest got;
+      JobResponse resp;
+      ASSERT_TRUE(parse_job_request(serialize_request(sent), got, resp))
+          << resp.error;
+      EXPECT_EQ(got.packed_plane, packed);
+      answers.push_back(service.execute_now(got));
+      ASSERT_TRUE(answers.back().ok) << answers.back().error;
+    }
+    EXPECT_EQ(answers[0].final_values, answers[1].final_values);
+    EXPECT_EQ(answers[0].metrics.dump(0), answers[1].metrics.dump(0));
+  }
+}
+
 TEST(Service, ClientGeneratorSpecsParseUnchanged) {
   // The specs plsim_load, c15 and bench/suite send (scaled and random, the
   // other size fields at their defaults) round-trip to the same request.

@@ -38,12 +38,12 @@ comment `// plsim-lint: allow(<rule>)`):
                   direct eval_gate64 calls are banned in the lane-carrying
                   modules (src/fault/, src/seq/, src/stim/, src/engines/,
                   src/core/): all lane arithmetic goes through the named
-                  helpers of src/sim/packed.hpp (kAllLanes, kFaultLanes,
-                  lane_mask, lanes_from_bool, broadcast_lane0, forced_word,
-                  packed2_eval_gather) so the X-collapse and lane-0
-                  conventions live in one translation unit. src/event/ keeps
-                  its bitmap-summary words (different domain) and src/logic/
-                  keeps the eval_gate64 definition.
+                  helpers of src/sim/packed.hpp (kFaultLanes, lane_mask,
+                  lanes_from_bool, broadcast_lane0, forced_word,
+                  pack2_broadcast, packed2_eval_gather) so the lane-0 and
+                  binary-only conventions live in one translation unit.
+                  src/event/ keeps its bitmap-summary words (different
+                  domain) and src/logic/ keeps the eval_gate64 definition.
 
   memory-order    Atomic operations (.load/.store/.exchange/.fetch_*/
                   .compare_exchange_*) must spell out an explicit
@@ -276,8 +276,9 @@ def lint_file(path, rel, findings):
                 report(idx, "packed-lane",
                        f"raw lane idiom '{m.group(0).strip()}' outside "
                        "sim/packed.hpp — use the named lane helpers "
-                       "(kAllLanes/kFaultLanes/lane_mask/lanes_from_bool/"
-                       "broadcast_lane0/forced_word/packed2_eval_gather)")
+                       "(kFaultLanes/lane_mask/lanes_from_bool/"
+                       "broadcast_lane0/forced_word/pack2_broadcast/"
+                       "packed2_eval_gather)")
 
         if in_plan_code:
             m = PLAN_EVAL.search(code)

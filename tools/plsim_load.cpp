@@ -92,7 +92,8 @@ JobRequest make_job(const Options& opt, std::uint64_t i) {
     req.circuit.seed = 1000000 + i;
     req.engine = rng.uniform(2) == 0 ? "conservative" : "sync";
   } else if (cls < 82) {
-    // Packed-plane oblivious sweep on a mid-size circuit.
+    // Oblivious sweep on a mid-size circuit. The service ignores
+    // packed_plane; the key stays so the request bytes do not change.
     req.circuit.kind = CircuitSpec::Kind::Generator;
     req.circuit.generator = "scaled";
     req.circuit.gates = 1000;
