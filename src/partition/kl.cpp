@@ -5,41 +5,38 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "partition/algorithms.hpp"
+#include "partition/graph.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace plsim {
 namespace {
 
-struct Graph {
-  // Undirected weighted adjacency over local cell ids.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> adj;
-};
-
-Graph build_graph(const Circuit& c, std::span<const GateId> cells,
-                  std::span<const std::uint32_t> local_of) {
-  Graph g;
-  g.adj.resize(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::unordered_map<std::uint32_t, std::uint32_t> nbr;
-    for (GateId f : c.fanins(cells[i])) {
-      const std::uint32_t lf = local_of[f];
-      if (lf != static_cast<std::uint32_t>(-1) && lf != i) ++nbr[lf];
+/// Undirected adjacency over local cell ids, weighted by connection count.
+/// KL reads it only through sums and an exact-neighbour lookup, so its
+/// partitions do not depend on the neighbour order.
+WeightedCsr build_graph(const Circuit& c, std::span<const GateId> cells,
+                        std::span<const std::uint32_t> local_of) {
+  const auto arcs = [&](auto arc) {
+    for (std::uint32_t i = 0; i < cells.size(); ++i) {
+      for (GateId f : c.fanins(cells[i])) {
+        const std::uint32_t lf = local_of[f];
+        if (lf != static_cast<std::uint32_t>(-1) && lf != i) arc(i, lf, 1);
+      }
+      for (GateId s : c.fanouts(cells[i])) {
+        const std::uint32_t ls = local_of[s];
+        if (ls != static_cast<std::uint32_t>(-1) && ls != i) arc(i, ls, 1);
+      }
     }
-    for (GateId s : c.fanouts(cells[i])) {
-      const std::uint32_t ls = local_of[s];
-      if (ls != static_cast<std::uint32_t>(-1) && ls != i) ++nbr[ls];
-    }
-    g.adj[i].assign(nbr.begin(), nbr.end());
-  }
-  return g;
+  };
+  return merge_arcs(cells.size(), arcs);
 }
 
-void kl_bisect(const Graph& g, Rng& rng, std::vector<std::uint8_t>& side) {
-  const std::size_t n = g.adj.size();
+void kl_bisect(const WeightedCsr& g, Rng& rng,
+               std::vector<std::uint8_t>& side) {
+  const std::size_t n = g.n();
   side.assign(n, 0);
   if (n < 2) return;
 
@@ -54,9 +51,10 @@ void kl_bisect(const Graph& g, Rng& rng, std::vector<std::uint8_t>& side) {
   auto recompute_d = [&] {
     for (std::size_t v = 0; v < n; ++v) {
       std::int64_t dv = 0;
-      for (auto [u, w] : g.adj[v])
-        dv += (side[u] != side[v]) ? static_cast<std::int64_t>(w)
-                                   : -static_cast<std::int64_t>(w);
+      for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e)
+        dv += (side[g.adj[e]] != side[v])
+                  ? static_cast<std::int64_t>(g.wedge[e])
+                  : -static_cast<std::int64_t>(g.wedge[e]);
       d[v] = dv;
     }
   };
@@ -91,8 +89,8 @@ void kl_bisect(const Graph& g, Rng& rng, std::vector<std::uint8_t>& side) {
       for (std::uint32_t a : cand[0]) {
         for (std::uint32_t b : cand[1]) {
           std::int64_t cab = 0;
-          for (auto [u, w] : g.adj[a])
-            if (u == b) cab = w;
+          for (std::uint32_t e = g.off[a]; e < g.off[a + 1]; ++e)
+            if (g.adj[e] == b) cab = static_cast<std::int64_t>(g.wedge[e]);
           const std::int64_t gain = d[a] + d[b] - 2 * cab;
           if (gain > best_gain) {
             best_gain = gain;
@@ -109,10 +107,11 @@ void kl_bisect(const Graph& g, Rng& rng, std::vector<std::uint8_t>& side) {
       side[best_a] = 1;
       side[best_b] = 0;
       for (std::uint32_t v : {best_a, best_b}) {
-        for (auto [u, w] : g.adj[v]) {
+        for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+          const std::uint32_t u = g.adj[e];
           if (locked[u]) continue;
-          d[u] += (side[u] == side[v]) ? -2 * static_cast<std::int64_t>(w)
-                                       : 2 * static_cast<std::int64_t>(w);
+          const auto w = static_cast<std::int64_t>(g.wedge[e]);
+          d[u] += (side[u] == side[v]) ? -2 * w : 2 * w;
         }
       }
     }
@@ -145,7 +144,7 @@ void kl_recursive(const Circuit& c, std::vector<GateId>& cells, std::uint32_t k,
                                       static_cast<std::uint32_t>(-1));
   for (std::size_t i = 0; i < cells.size(); ++i)
     local_of[cells[i]] = static_cast<std::uint32_t>(i);
-  const Graph g = build_graph(c, cells, local_of);
+  const WeightedCsr g = build_graph(c, cells, local_of);
   std::vector<std::uint8_t> side;
   kl_bisect(g, rng, side);
 

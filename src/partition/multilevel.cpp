@@ -16,9 +16,9 @@
 #include <cstdlib>
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "partition/algorithms.hpp"
+#include "partition/graph.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -41,16 +41,11 @@ bool ml_audit_enabled() {
 #endif
 }
 
-struct MlGraph {
-  // CSR adjacency with parallel edge weights; vertex weights for balance.
-  // 64-bit: vertex weights are summed activity counts and edge weights are
-  // activity-scaled multiplicities, both of which overflow 32 bits once
-  // supernodes aggregate hot gates.
-  std::vector<std::uint32_t> off;
-  std::vector<std::uint32_t> adj;
-  std::vector<std::uint64_t> wedge;
+struct MlGraph : WeightedCsr {
+  // Vertex weights for balance. 64-bit, like the edge weights: they are
+  // summed activity counts, which overflow 32 bits once supernodes
+  // aggregate hot gates.
   std::vector<std::uint64_t> wvert;
-  std::size_t n() const { return wvert.size(); }
 
   std::uint64_t total_vertex_weight() const {
     std::uint64_t t = 0;
@@ -72,42 +67,30 @@ MlGraph from_circuit(const Circuit& c, std::span<const GateId> cells,
                      std::span<const std::uint64_t> gate_w,
                      std::span<const std::uint64_t> net_w) {
   const std::size_t n = cells.size();
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> nbr(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (GateId f : c.fanins(cells[i])) {
-      const std::uint32_t lf = local_of[f];
-      if (lf != static_cast<std::uint32_t>(-1) && lf != i) {
-        const std::uint64_t w = net_w.empty() ? 1 : net_w[f];
-        nbr[i][lf] += w;
-        nbr[lf][static_cast<std::uint32_t>(i)] += w;
+  std::vector<std::uint64_t> wvert(n);
+  for (std::size_t i = 0; i < n; ++i)
+    wvert[i] = gate_w.empty() ? 1 : gate_w[cells[i]];
+  const auto arcs = [&](auto arc) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (GateId f : c.fanins(cells[i])) {
+        const std::uint32_t lf = local_of[f];
+        if (lf != static_cast<std::uint32_t>(-1) && lf != i) {
+          const std::uint64_t w = net_w.empty() ? 1 : net_w[f];
+          arc(i, lf, w);
+          arc(lf, i, w);
+        }
       }
     }
-  }
-  MlGraph g;
-  g.wvert.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    g.wvert[i] = gate_w.empty() ? 1 : gate_w[cells[i]];
-  g.off.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    g.off[i + 1] = g.off[i] + static_cast<std::uint32_t>(nbr[i].size());
-  g.adj.resize(g.off[n]);
-  g.wedge.resize(g.off[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t k = g.off[i];
-    for (auto [u, w] : nbr[i]) {
-      g.adj[k] = u;
-      g.wedge[k] = w;
-      ++k;
-    }
-  }
-  return g;
+  };
+  return {merge_arcs(n, arcs), std::move(wvert)};
 }
 
 /// Heavy-edge matching coarsening; returns the coarse graph and the map
 /// fine-vertex -> coarse-vertex.
 MlGraph coarsen(const MlGraph& g, Rng& rng, std::vector<std::uint32_t>& map) {
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
   const std::size_t n = g.n();
-  map.assign(n, static_cast<std::uint32_t>(-1));
+  map.assign(n, kNone);
   std::vector<std::uint32_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
   for (std::size_t i = n; i > 1; --i)
@@ -115,57 +98,46 @@ MlGraph coarsen(const MlGraph& g, Rng& rng, std::vector<std::uint32_t>& map) {
 
   std::uint32_t coarse = 0;
   for (std::uint32_t v : order) {
-    if (map[v] != static_cast<std::uint32_t>(-1)) continue;
-    // Match with the unmatched neighbour of heaviest connecting weight.
-    std::uint32_t best = static_cast<std::uint32_t>(-1);
+    if (map[v] != kNone) continue;
+    // Match with the unmatched neighbour of heaviest connecting weight; on
+    // a tie, the lighter neighbour (the supernode stays smaller), then the
+    // first one in adjacency order.
+    std::uint32_t best = kNone;
     std::uint64_t bw = 0;
     for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e) {
       const std::uint32_t u = g.adj[e];
-      if (map[u] == static_cast<std::uint32_t>(-1) && g.wedge[e] > bw) {
+      if (map[u] != kNone) continue;
+      if (g.wedge[e] > bw || (g.wedge[e] == bw && best != kNone &&
+                              g.wvert[u] < g.wvert[best])) {
         bw = g.wedge[e];
         best = u;
       }
     }
     map[v] = coarse;
-    if (best != static_cast<std::uint32_t>(-1)) map[best] = coarse;
+    if (best != kNone) map[best] = coarse;
     ++coarse;
   }
 
   // Build the coarse graph. Edges absorbed inside a supernode leave the
   // graph; everything else must survive weight-for-weight.
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> nbr(coarse);
-  MlGraph cg;
-  std::uint64_t absorbed = 0;
-  cg.wvert.assign(coarse, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    cg.wvert[map[v]] += g.wvert[v];
-    for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e) {
-      const std::uint32_t cu = map[g.adj[e]], cv = map[v];
-      if (cu != cv)
-        nbr[cv][cu] += g.wedge[e];
-      else
-        absorbed += g.wedge[e];
-    }
-  }
-  cg.off.assign(coarse + 1, 0);
-  for (std::uint32_t i = 0; i < coarse; ++i)
-    cg.off[i + 1] = cg.off[i] + static_cast<std::uint32_t>(nbr[i].size());
-  cg.adj.resize(cg.off[coarse]);
-  cg.wedge.resize(cg.off[coarse]);
-  for (std::uint32_t i = 0; i < coarse; ++i) {
-    std::uint32_t k = cg.off[i];
-    for (auto [u, w] : nbr[i]) {
-      cg.adj[k] = u;
-      cg.wedge[k] = w;
-      ++k;
-    }
-  }
+  std::vector<std::uint64_t> wvert(coarse, 0);
+  for (std::size_t v = 0; v < n; ++v) wvert[map[v]] += g.wvert[v];
+  const auto arcs = [&](auto arc) {
+    for (std::uint32_t v = 0; v < n; ++v)
+      for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e)
+        if (map[g.adj[e]] != map[v]) arc(map[v], map[g.adj[e]], g.wedge[e]);
+  };
+  MlGraph cg{merge_arcs(coarse, arcs), std::move(wvert)};
 
   if (ml_audit_enabled()) {
     // Conservation invariants: a supernode weighs exactly what its
     // constituents weighed, and cross-supernode edge weight is the fine
     // total minus what the matching absorbed. A drop here silently
     // unbalances every coarser level's partition.
+    std::uint64_t absorbed = 0;
+    for (std::uint32_t v = 0; v < n; ++v)
+      for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e)
+        if (map[g.adj[e]] == map[v]) absorbed += g.wedge[e];
     PLSIM_ASSERT(cg.total_vertex_weight() == g.total_vertex_weight());
     PLSIM_ASSERT(cg.total_edge_weight() + absorbed == g.total_edge_weight());
   }

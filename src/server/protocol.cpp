@@ -1,6 +1,7 @@
 #include "server/protocol.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -192,6 +193,22 @@ bool known_engine(const std::string& e) {
 
 }  // namespace
 
+void check_job_limits(const JobRequest& req) {
+  if (req.stimulus.cycles == 0 || req.stimulus.cycles > 100000)
+    raise("plsim-job-v1: stimulus.cycles out of range [1, 100000]");
+  // The horizon is period * (cycles + 1) in 64-bit ticks; an unbounded
+  // period wraps it and scrambles the vector timeline.
+  if (req.stimulus.period == 0 || req.stimulus.period > 1000000)
+    raise("plsim-job-v1: stimulus.period out of range [1, 1000000]");
+  if (req.circuit.kind == CircuitSpec::Kind::Generator) {
+    const std::uint64_t gates = generated_gates(req.circuit);
+    if (gates == 0 || gates > 1000000)
+      raise("plsim-job-v1: generator size out of range [1, 1000000] gates");
+  }
+  if (req.blocks == 0 || req.blocks > 256)
+    raise("plsim-job-v1: blocks out of range [1, 256]");
+}
+
 bool parse_job_request(const std::string& payload, JobRequest& req,
                        JobResponse& resp) {
   resp = JobResponse{};
@@ -215,28 +232,15 @@ bool parse_job_request(const std::string& payload, JobRequest& req,
       req.stimulus.period =
           s->find("period") ? s->find("period")->as_uint(10) : 10;
     }
-    if (req.stimulus.cycles == 0 || req.stimulus.cycles > 100000)
-      raise("plsim-job-v1: stimulus.cycles out of range [1, 100000]");
-    // The horizon is period * (cycles + 1) in 64-bit ticks; an unbounded
-    // period wraps it and scrambles the vector timeline.
-    if (req.stimulus.period == 0 || req.stimulus.period > 1000000)
-      raise("plsim-job-v1: stimulus.period out of range [1, 1000000]");
-    if (req.circuit.kind == CircuitSpec::Kind::Generator) {
-      const std::uint64_t gates = generated_gates(req.circuit);
-      if (gates == 0 || gates > 1000000)
-        raise("plsim-job-v1: generator size out of range [1, 1000000] gates");
-    }
     req.engine = require(doc, "engine").as_string("");
     if (!known_engine(req.engine))
       raise("plsim-job-v1: unknown engine '" + req.engine + "'");
-    // Range-check the full 64-bit value: narrowing first would wrap 2^32 + 2
-    // to 2 and accept it. A present but non-integral value (1e30, "4") reads
-    // as 0 and is rejected rather than silently defaulted.
-    std::uint64_t blocks = req.blocks;
-    if (const JsonValue* b = doc.find("blocks")) blocks = b->as_uint(0);
-    if (blocks == 0 || blocks > 256)
-      raise("plsim-job-v1: blocks out of range [1, 256]");
-    req.blocks = static_cast<std::uint32_t>(blocks);
+    // Saturate rather than narrow: 2^32 + 2 must stay out of range, not
+    // wrap to 2. A present but non-integral value (1e30, "4") reads as 0
+    // and is rejected rather than silently defaulted.
+    if (const JsonValue* b = doc.find("blocks"))
+      req.blocks = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+          b->as_uint(0), std::numeric_limits<std::uint32_t>::max()));
     if (const JsonValue* s = doc.find("partition_seed"))
       req.partition_seed = s->as_uint(1);
     if (const JsonValue* u = doc.find("cache"))
@@ -253,6 +257,7 @@ bool parse_job_request(const std::string& payload, JobRequest& req,
       if (const JsonValue* b = c->find("lazy_cancellation"))
         req.lazy_cancellation = b->as_bool(false);
     }
+    check_job_limits(req);
     return true;
   } catch (const Error& e) {
     resp.error = e.what();

@@ -105,6 +105,14 @@ struct JobResponse {
   double queue_seconds = 0.0;     ///< admission-to-dispatch wait
 };
 
+/// Throws plsim::Error unless `req` is inside the service's request limits:
+/// stimulus.cycles in [1, 100000], stimulus.period in [1, 1000000], a
+/// generator spec that builds at most 1,000,000 gates, and blocks in
+/// [1, 256]. parse_job_request applies it to every frame and
+/// Service::execute to every job, before any circuit is built, so an
+/// in-process job meets the same limits as one from the socket.
+void check_job_limits(const JobRequest& req);
+
 /// Parse one request frame payload. Returns false and fills `resp` as a
 /// BadRequest response (id echoed when recoverable) on malformed input.
 bool parse_job_request(const std::string& payload, JobRequest& req,

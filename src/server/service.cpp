@@ -236,6 +236,7 @@ JobResponse Service::execute(const JobRequest& req) {
   resp.id = req.id;
   resp.engine = req.engine;
   try {
+    check_job_limits(req);
     const std::shared_ptr<const CircuitEntry> ce =
         resolve_circuit(req.circuit);
     const Circuit& c = *ce->circuit;

@@ -1,6 +1,7 @@
 #include "stim/stimulus.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -8,6 +9,13 @@
 #include "util/rng.hpp"
 
 namespace plsim {
+
+Tick Stimulus::horizon() const {
+  const Tick periods = vectors.size() + 1;
+  PLSIM_CHECK(period <= std::numeric_limits<Tick>::max() / periods,
+              "Stimulus: horizon period * (cycles + 1) overflows a Tick");
+  return period * periods;
+}
 
 Stimulus random_stimulus(const Circuit& c, std::size_t cycles, double activity,
                          std::uint64_t seed, Tick period) {

@@ -24,8 +24,10 @@ struct Stimulus {
   std::vector<std::vector<Logic4>> vectors;
 
   std::size_t cycles() const { return vectors.size(); }
-  /// End of simulated time: one full period after the last vector.
-  Tick horizon() const { return period * (vectors.size() + 1); }
+  /// End of simulated time: one full period after the last vector. Throws
+  /// plsim::Error when period * (cycles + 1) does not fit a Tick; a wrapped
+  /// horizon would scramble the vector timeline.
+  Tick horizon() const;
 };
 
 /// Seeded random vectors: cycle 0 is uniform over {0,1}; afterwards each

@@ -198,33 +198,34 @@ std::uint64_t partition_sig(const Partition& p) {
 }  // namespace
 
 TEST(PartitionWeighted, UnweightedMultilevelMatchesPreWeightGoldens) {
-  // Differential goldens captured from the tree immediately before vertex/
-  // net weights were threaded through coarsening: the unit-weight path must
-  // produce byte-identical partitions, proving the weighted machinery is
-  // inert when no activity is supplied.
+  // Exact unit-weight partitions (FNV-1a signature and cut) from the dense
+  // graph build: neighbours in first-seen order, heavy-edge ties to the
+  // lighter neighbour, then the first one seen. The build hashes nothing,
+  // so these hold on every standard library; a change to coarsening,
+  // matching or refinement that moves any partition fails here.
   struct Golden {
     std::uint32_t size, k;
     std::uint64_t seed, sig, cut;
   };
   static constexpr Golden kGoldens[] = {
-      {300, 2, 1, 0x3c23162cbc45409dull, 69},
-      {300, 2, 7, 0x259e7248c125e92cull, 70},
-      {300, 4, 1, 0x42cc164f4730f23dull, 154},
-      {300, 4, 7, 0x5f38f5b8d2ec75b0ull, 151},
-      {300, 8, 1, 0x7167f3a43b070d84ull, 220},
-      {300, 8, 7, 0x416e8314e148e562ull, 214},
-      {600, 2, 1, 0xb6ca822c442bea7bull, 109},
-      {600, 2, 7, 0x50e5c03c81955077ull, 144},
-      {600, 4, 1, 0x04388d9a4afd1ffcull, 240},
-      {600, 4, 7, 0x815ad6b385f7cc93ull, 252},
-      {600, 8, 1, 0x93355e726778fd0aull, 360},
-      {600, 8, 7, 0x0f50f2ef6d137631ull, 374},
-      {1500, 2, 1, 0x83f064356c3b1100ull, 258},
-      {1500, 2, 7, 0xac0c887e133bc72cull, 258},
-      {1500, 4, 1, 0x9a2579b1395cf926ull, 413},
-      {1500, 4, 7, 0x18b029d6f8c25b65ull, 424},
-      {1500, 8, 1, 0xddbd548ee67d1ebfull, 622},
-      {1500, 8, 7, 0x276bbfdcf5f183e7ull, 652},
+      {300, 2, 1, 0x10d6277e5b03635cull, 70},
+      {300, 2, 7, 0x678756f290a75927ull, 70},
+      {300, 4, 1, 0xdab9703abbe4d9d6ull, 151},
+      {300, 4, 7, 0x537f820dc9519c6full, 152},
+      {300, 8, 1, 0xe03dc522efceca98ull, 217},
+      {300, 8, 7, 0x42cff560c64ee7cfull, 209},
+      {600, 2, 1, 0xa692d3d6a1016fa7ull, 106},
+      {600, 2, 7, 0x5f01673a23eca63bull, 106},
+      {600, 4, 1, 0xde2cad5ef099a92cull, 237},
+      {600, 4, 7, 0xc2190ef9acec2670ull, 235},
+      {600, 8, 1, 0x34d228cc68da9714ull, 380},
+      {600, 8, 7, 0xab2122c8602330b8ull, 357},
+      {1500, 2, 1, 0x20b9d720961eaee6ull, 250},
+      {1500, 2, 7, 0xfc5078b8e533d08bull, 196},
+      {1500, 4, 1, 0xd1a83e646899e82dull, 446},
+      {1500, 4, 7, 0x3617d92452bf2cf7ull, 395},
+      {1500, 8, 1, 0xc4e7fb5d1214765cull, 615},
+      {1500, 8, 7, 0xdd992a89b91ab402ull, 580},
   };
   for (std::uint32_t size : {300u, 600u, 1500u}) {
     const Circuit c = scaled_circuit(size, 1);
@@ -240,39 +241,51 @@ TEST(PartitionWeighted, UnweightedMultilevelMatchesPreWeightGoldens) {
 }
 
 TEST(PartitionWeighted, MultilevelMatchesScanRefineGoldens) {
-  // Differential goldens captured from the tree immediately before
-  // refinement's move selection moved from a scan over every vertex per
-  // move to weight-ordered max trees: the selection must pick exactly the
-  // same vertex, so every partition stays byte-identical. Beyond the table
-  // above this covers hashed activity weights (as in
-  // DeterministicForSeedWithWeights), k = 3, the vp_pipeline circuits, a
-  // 5000-gate circuit, and a heavy-tailed profile whose coarse levels
-  // arrive outside the balance window, so the restoration loop moves
-  // vertices.
+  // Exact partitions from the same dense build as the table above, so that
+  // later refinement work must keep every partition byte-identical. Beyond
+  // that table this covers hashed activity weights (as in
+  // DeterministicForSeedWithWeights), k = 3, a heavy-tailed profile whose
+  // coarse levels arrive outside the balance window, so the restoration
+  // loop moves vertices, and every partition the benchmark suite makes
+  // with multilevel: its 20000-gate batch circuit, the service workloads'
+  // hot 6000- and 2000-gate circuits, and the register pipelines.
   enum class Profile { Hashed, HeavyTail, Unit, Pipeline };
   struct Golden {
     Profile profile;
-    std::uint32_t size, k;  // size: gates, or pipeline width
+    std::uint32_t size;  // gates, or pipeline width
+    std::uint64_t circuit_seed;
+    std::uint32_t k;
     std::uint64_t sig, cut;
   };
   static constexpr Golden kGoldens[] = {
-      {Profile::Hashed, 700, 2, 0x7fdae99aa1b31cacull, 166},
-      {Profile::Hashed, 700, 3, 0x9ba1bf5a4aa5499aull, 247},
-      {Profile::Hashed, 700, 4, 0xbe0bf563327a52b8ull, 316},
-      {Profile::Hashed, 700, 8, 0x4790b9ff030a8acbull, 453},
-      {Profile::Pipeline, 16, 8, 0x47da3fce9b5fbf4aull, 118},
-      {Profile::Pipeline, 32, 8, 0x66097863a642274full, 245},
-      {Profile::Pipeline, 64, 8, 0xc2384a1f0de9bfd4ull, 451},
-      {Profile::Unit, 5000, 4, 0x12a4e47469200757ull, 1241},
-      {Profile::HeavyTail, 700, 2, 0x02f6f03f62b60fb9ull, 52},
-      {Profile::HeavyTail, 700, 4, 0x799fa68e214a26a4ull, 75},
+      {Profile::Hashed, 700, 9, 2, 0x6881c76402b96453ull, 190},
+      {Profile::Hashed, 700, 9, 3, 0xc0587246c5664a52ull, 306},
+      {Profile::Hashed, 700, 9, 4, 0xdc48488f195b5df8ull, 314},
+      {Profile::Hashed, 700, 9, 8, 0x7dd84568040cfd3aull, 490},
+      // vp_pipeline's four register pipelines.
+      {Profile::Pipeline, 16, 1, 8, 0xfdc3ef82730e2da2ull, 144},
+      {Profile::Pipeline, 32, 1, 8, 0x0bb9e7523262214eull, 240},
+      {Profile::Pipeline, 64, 1, 8, 0x51b82afa9981e150ull, 449},
+      {Profile::Pipeline, 152, 1, 8, 0xefcd25f2442f2979ull, 1081},
+      {Profile::Unit, 5000, 1, 4, 0x85d22026f5fc0934ull, 1180},
+      {Profile::HeavyTail, 700, 1, 2, 0xad037b75d82b4401ull, 50},
+      {Profile::HeavyTail, 700, 1, 4, 0x7c3f0d094c6bb5b2ull, 80},
+      // batch_20k's circuit, then svc_warm's and svc_mixed's hot circuits.
+      {Profile::Unit, 20000, 1, 4, 0xdbc420ef0cf217d7ull, 4945},
+      {Profile::Unit, 6000, 100, 2, 0x45130a3397db17beull, 915},
+      {Profile::Unit, 6000, 101, 2, 0xd2d83e67962558f1ull, 957},
+      {Profile::Unit, 6000, 102, 2, 0x5fe210f333578e85ull, 787},
+      {Profile::Unit, 6000, 103, 2, 0xce49008ed7675d25ull, 732},
+      {Profile::Unit, 2000, 100, 2, 0xa8c6b4bf7f797bfbull, 258},
+      {Profile::Unit, 2000, 101, 2, 0xb234f01d6b6c39e7ull, 268},
+      {Profile::Unit, 2000, 102, 2, 0x8da890f4692af19aull, 308},
+      {Profile::Unit, 2000, 103, 2, 0x40a0ef08e940a618ull, 316},
   };
   for (const Golden& g : kGoldens) {
-    const Circuit c = g.profile == Profile::Pipeline
-                          ? pipeline(static_cast<int>(g.size), 8, 1)
-                      : g.profile == Profile::Hashed
-                          ? scaled_circuit(g.size, 9)
-                          : scaled_circuit(g.size, 1);
+    const Circuit c =
+        g.profile == Profile::Pipeline
+            ? pipeline(static_cast<int>(g.size), 8, g.circuit_seed)
+            : scaled_circuit(g.size, g.circuit_seed);
     std::vector<std::uint32_t> w, nw;
     for (std::size_t i = 0; i < c.gate_count(); ++i) {
       if (g.profile == Profile::Hashed) {
@@ -287,6 +300,45 @@ TEST(PartitionWeighted, MultilevelMatchesScanRefineGoldens) {
     }
     const std::uint64_t seed = g.profile == Profile::Hashed ? 5 : 1;
     const Partition p = partition_multilevel(c, g.k, seed, w, nw);
+    const int row = static_cast<int>(&g - kGoldens);
+    EXPECT_EQ(partition_sig(p), g.sig) << "row " << row;
+    EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut) << "row " << row;
+  }
+}
+
+TEST(Partition, KlMatchesHashMapBuildGoldens) {
+  // Captured from the tree whose KL graph was built through one hash map
+  // per cell, before the dense merge replaced it. KL reads its adjacency
+  // only through sums and one exact-neighbour lookup, so neighbour order
+  // cannot move a KL partition; these pin that.
+  struct Golden {
+    bool pipe;           // pipeline(size, 8, 1), else scaled_circuit(size, 1)
+    std::uint32_t size;  // gates, or pipeline width
+    std::uint32_t k;
+    std::uint64_t seed, sig, cut;
+  };
+  static constexpr Golden kGoldens[] = {
+      {false, 500, 2, 1, 0x3e762fb58b190307ull, 128},
+      {false, 500, 2, 2, 0x073f7ef84ed0ed31ull, 113},
+      {false, 500, 4, 1, 0x581b0ee94ac643d9ull, 223},
+      {false, 500, 4, 2, 0x77511c3fe4a00563ull, 230},
+      {false, 500, 8, 1, 0xbee96ec574219a03ull, 332},
+      {false, 500, 8, 2, 0x4f30cf4f77d20b9bull, 335},
+      {false, 2000, 2, 1, 0x5fd57bbf8832ce47ull, 567},
+      {false, 2000, 2, 2, 0xadc16c872cb24881ull, 460},
+      {false, 2000, 4, 1, 0xdeb112035b666297ull, 934},
+      {false, 2000, 4, 2, 0xac9e8814474c6327ull, 794},
+      {false, 2000, 8, 1, 0xdc4695239e041dabull, 1192},
+      {false, 2000, 8, 2, 0xf857f7718c0eec87ull, 1123},
+      {false, 6000, 2, 1, 0x05a3ee53af5dc1a9ull, 1929},
+      {false, 6000, 2, 2, 0xad3985712b121fd1ull, 1813},
+      {true, 16, 8, 1, 0x5234820345a29a2bull, 141},
+      {true, 64, 8, 1, 0xfe3170b1c34bb62dull, 827},
+  };
+  for (const Golden& g : kGoldens) {
+    const Circuit c = g.pipe ? pipeline(static_cast<int>(g.size), 8, 1)
+                             : scaled_circuit(g.size, 1);
+    const Partition p = partition_kl(c, g.k, g.seed);
     const int row = static_cast<int>(&g - kGoldens);
     EXPECT_EQ(partition_sig(p), g.sig) << "row " << row;
     EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut) << "row " << row;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engines/engine.hpp"
@@ -204,6 +205,34 @@ TEST(Service, StimulusPeriodRangeChecked) {
     EXPECT_EQ(resp.id, 79u) << bad;
     EXPECT_NE(resp.error.find("stimulus.period"), std::string::npos) << bad;
   }
+}
+
+TEST(Service, InProcessJobsMeetRequestLimits) {
+  // Only parse_job_request used to check the limits, so execute_now with
+  // period 2^62 built the circuit and then failed in the engine with
+  // "BlockSimulator: horizon must be positive", and an over-cap generator
+  // spec was built in full. Service::execute now checks the same limits
+  // before it resolves the circuit.
+  Service service(ServiceConfig{});
+  JobRequest period = scaled_job("sync", 800, 1);
+  period.stimulus.period = std::uint64_t{1} << 62;
+  const JobRequest huge = scaled_job("sync", 2000000, 1);
+  for (const auto& [req, field] :
+       {std::pair{period, "stimulus.period"}, std::pair{huge, "generator"}}) {
+    const CacheCounters before = service.metrics().circuit_cache;
+    const JobResponse resp = service.execute_now(req);
+    EXPECT_FALSE(resp.ok) << field;
+    EXPECT_EQ(resp.code, JobErrorCode::BadRequest) << field;
+    EXPECT_NE(resp.error.find(field), std::string::npos) << resp.error;
+    const CacheCounters after = service.metrics().circuit_cache;
+    EXPECT_EQ(after.hits, before.hits) << field;
+    EXPECT_EQ(after.misses, before.misses) << field;
+    EXPECT_EQ(after.joined, before.joined) << field;
+  }
+  const JobRequest ok = scaled_job("sync", 600, 5);
+  const JobResponse resp = service.execute_now(ok);
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(service.metrics().circuit_cache.misses, 1u);
 }
 
 TEST(Service, ObliviousJobIgnoresPackedKey) {

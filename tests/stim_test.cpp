@@ -14,6 +14,7 @@
 #include "netlist/generators.hpp"
 #include "stim/stimulus.hpp"
 #include "stim/vcd.hpp"
+#include "util/error.hpp"
 
 namespace plsim {
 namespace {
@@ -49,6 +50,16 @@ TEST(Stimulus, HorizonCoversAllVectors) {
   const Stimulus s = random_stimulus(c, 10, 0.5, 1, 20);
   EXPECT_EQ(s.period, 20u);
   EXPECT_EQ(s.horizon(), 220u);  // (10 + 1) * 20
+}
+
+TEST(Stimulus, HorizonOverflowThrows) {
+  // period * (cycles + 1) must fit a Tick: 2^62 * 4 would wrap to 0.
+  Stimulus s;
+  s.period = std::uint64_t{1} << 62;
+  s.vectors.resize(3);
+  EXPECT_THROW(s.horizon(), Error);
+  s.vectors.resize(2);
+  EXPECT_EQ(s.horizon(), 3 * (std::uint64_t{1} << 62));
 }
 
 TEST(Stimulus, ExhaustiveCoversAllPatterns) {

@@ -22,6 +22,19 @@ comment `// plsim-lint: allow(<rule>)`):
                   stats, or modelled cost. Iterate a deterministic index
                   instead (or sort first).
 
+  partition-order No std::unordered_{map,set,multimap,multiset} type and no
+                  <unordered_map>/<unordered_set> include anywhere in
+                  src/partition/, iterated or not: a partition must be a
+                  function of the circuit, the weights and the seed, and a
+                  hash container's order is the standard library's choice.
+                  Neighbour order decides heavy-edge ties and the growth
+                  order of multilevel's base case, so a hashed adjacency
+                  moves partitions across libraries. unordered-iter alone
+                  would not catch it: its declaration regex misses a
+                  container nested in another template (a vector of hash
+                  maps). Build graphs with merge_arcs
+                  (src/partition/graph.hpp).
+
   include-hygiene Quoted includes must be repo-root-relative module paths
                   ("logic/value.hpp"), never parent-relative ("../x.hpp");
                   system headers use <>.
@@ -140,6 +153,7 @@ RANDOMNESS = re.compile(
 UNORDERED_DECL = re.compile(
     r"\b(?:std::)?unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;{(=]"
 )
+UNORDERED_ANY = re.compile(r"\bunordered_\w+")
 RANGE_FOR = re.compile(r"\bfor\s*\([^;)]*?:\s*([A-Za-z_][\w.\->\[\]]*)\s*\)")
 QUOTED_INCLUDE = re.compile(r'#\s*include\s*"([^"]+)"')
 WAIVER = re.compile(r"//\s*plsim-lint:\s*allow\(([\w-]+)\)")
@@ -215,6 +229,7 @@ def lint_file(path, rel, findings):
     in_parallel = rel.startswith("src/parallel/")
     in_rng = rel == "src/util/rng.hpp"
     in_engine_code = rel.startswith(("src/engines/", "src/vp/"))
+    in_partition = rel.startswith("src/partition/")
     in_tick_code = rel.startswith(
         ("src/core/", "src/engines/", "src/vp/", "src/event/", "src/seq/",
          "src/fault/"))
@@ -330,6 +345,14 @@ def lint_file(path, rel, findings):
                        f"'{m.group(0).strip('(').strip()}' in engine code — "
                        "block ordering is owned by src/partition/schedule.*; "
                        "waive explicitly if this sort orders something else")
+
+        if in_partition:
+            m = UNORDERED_ANY.search(code)
+            if m:
+                report(idx, "partition-order",
+                       f"'{m.group(0)}' in src/partition/ — hash order "
+                       "leaks into partitions; build adjacency with "
+                       "merge_arcs (partition/graph.hpp)")
 
         if in_engine_code and unordered_names:
             m = RANGE_FOR.search(code)
