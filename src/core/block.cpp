@@ -31,13 +31,6 @@ BlockSimulator::BlockSimulator(std::shared_ptr<const SimPlan> plan,
   init_from_plan();
 }
 
-void BlockSimulator::set_save_interval(std::uint32_t k) {
-  PLSIM_CHECK(k >= 1, "set_save_interval: interval must be >= 1");
-  PLSIM_CHECK(k == 1 || save_ == SaveMode::Incremental,
-              "set_save_interval: sparse checkpoints are Incremental-only");
-  save_interval_ = k;
-}
-
 Tick BlockSimulator::next_wire_time() {
   PLSIM_CHECK(opts_.track_lookahead,
               "next_wire_time: track_lookahead is off");
@@ -167,8 +160,6 @@ BatchStats BlockSimulator::process_batch(Tick t,
   if (save_ == SaveMode::Full) take_full_snapshot(t);
 
   BatchStats bs;
-  bs.checkpoint = batch_counter_ % save_interval_ == 0;
-  ++batch_counter_;
   const std::size_t out_before = out.size();
 
   ++eval_epoch_;

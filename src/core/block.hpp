@@ -61,10 +61,6 @@ struct BatchStats {
   std::uint32_t messages_out = 0;
   std::uint64_t save_bytes = 0;
   std::uint32_t undo_entries = 0;
-  /// False when a sparse-checkpoint interval (set_save_interval > 1) skipped
-  /// this batch's fixed checkpoint cost. Cost-model accounting only: the
-  /// incremental undo log itself is always written, so rollback stays exact.
-  bool checkpoint = true;
 };
 
 class BlockSimulator {
@@ -142,10 +138,6 @@ class BlockSimulator {
   /// engine may promise on this block's outgoing channels.
   std::uint32_t export_lookahead() const { return bp_->export_lookahead; }
 
-  /// Checkpoint every k-th batch in the modelled cost (BatchStats.checkpoint);
-  /// k > 1 requires SaveMode::Incremental. The undo log is unaffected.
-  void set_save_interval(std::uint32_t k);
-
   /// Earliest pending *wire* event time (kTickInf if none) — the clock-free
   /// internal frontier that anchors adaptive lookahead's wire_dist term.
   /// Requires BlockOptions::track_lookahead.
@@ -217,10 +209,6 @@ class BlockSimulator {
   // wire-event times, lazily pruned against the last processed batch time.
   std::priority_queue<Tick, std::vector<Tick>, std::greater<>> wire_heap_;
   Tick last_processed_ = 0;
-
-  // Sparse-checkpoint accounting (cost model only; see BatchStats.checkpoint).
-  std::uint32_t save_interval_ = 1;
-  std::uint32_t batch_counter_ = 0;
 
   std::vector<Event> scratch_;               // popped events of current batch
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "core/environment.hpp"
-#include "partition/activity.hpp"
-#include "util/error.hpp"
 #include "partition/partition.hpp"
-#include "partition/schedule.hpp"
+#include "util/error.hpp"
 
 namespace plsim {
 
@@ -123,26 +121,6 @@ RunResult merge_results(const Circuit& c, const BlockRig& rig,
               });
   }
   return r;
-}
-
-Partition activity_repartition(const Circuit& c, const Stimulus& stim,
-                               std::uint32_t n_blocks, std::size_t cycles,
-                               std::uint64_t seed) {
-  const ActivityProfile prof = profile_activity(c, stim, cycles);
-  return partition_with_activity(c, n_blocks, seed, prof);
-}
-
-Partition prepare_partition(const Circuit& c, const Stimulus& stim,
-                            const Partition& p, const EngineConfig& cfg) {
-  if (cfg.activity_feedback) {
-    const ActivityProfile prof = profile_activity(c, stim, cfg.activity_cycles);
-    Partition ap = partition_with_activity(c, p.n_blocks, cfg.activity_seed,
-                                           prof);
-    if (cfg.schedule_blocks)
-      ap = schedule_partition(c, ap, compress_counts(prof.messages));
-    return ap;
-  }
-  return schedule_partition(c, p);
 }
 
 void flush_block_activity(trace::Session& tsn, const BlockRig& rig) {

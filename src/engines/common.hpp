@@ -97,22 +97,6 @@ BlockRig build_rig(const Circuit& c, const Stimulus& stim, const Partition& p,
 RunResult merge_results(const Circuit& c, const BlockRig& rig,
                         bool record_trace);
 
-/// First pass of the two-pass activity-feedback flow
-/// (EngineConfig::activity_feedback): golden pre-simulation over `cycles`
-/// stimulus vectors, then an activity-weighted multilevel repartition into
-/// `n_blocks` blocks with seed `seed`. Deterministic for fixed inputs.
-Partition activity_repartition(const Circuit& c, const Stimulus& stim,
-                               std::uint32_t n_blocks, std::size_t cycles,
-                               std::uint64_t seed);
-
-/// First pass shared by every engine's partition-shaping driver: apply
-/// activity feedback (when cfg.activity_feedback) and/or cache-aware block
-/// scheduling (when cfg.schedule_blocks; activity-weighted when both are
-/// on). The caller reruns itself on the returned partition with both flags
-/// cleared. Deterministic for fixed inputs.
-Partition prepare_partition(const Circuit& c, const Stimulus& stim,
-                            const Partition& p, const EngineConfig& cfg);
-
 /// Append per-gate activity summary records (Kind::GateEval / Kind::NetMsg,
 /// original-circuit gate ids) to an armed trace session — the data
 /// activity_from_trace() feeds back into partitioning. Extras bypass the

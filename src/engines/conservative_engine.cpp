@@ -23,25 +23,6 @@ namespace plsim {
 RunResult run_conservative(const Circuit& c, const Stimulus& stim,
                            const Partition& p, const EngineConfig& cfg) {
   validate_engine_config(cfg, p.n_blocks, "conservative");
-  if (cfg.cp_guided) {
-    // A conservative promise cannot soundly use critical-path slack (it must
-    // hold for every execution), so cp_guided maps to the sound attacks on
-    // the same blocked time: adaptive per-channel lookahead plus cache-aware
-    // block scheduling.
-    EngineConfig cfg2 = cfg;
-    cfg2.cp_guided = false;
-    cfg2.adaptive_lookahead = true;
-    cfg2.schedule_blocks = true;
-    return run_conservative(c, stim, p, cfg2);
-  }
-  if (cfg.activity_feedback || cfg.schedule_blocks) {
-    const Partition p2 = prepare_partition(c, stim, p, cfg);
-    EngineConfig cfg2 = cfg;
-    cfg2.activity_feedback = false;
-    cfg2.schedule_blocks = false;
-    return run_conservative(c, stim, p2, cfg2);
-  }
-
   WallTimer timer;
 
   BlockOptions bopts;

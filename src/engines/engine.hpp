@@ -2,7 +2,12 @@
 // Threaded parallel engines — one per time-synchronization family of paper
 // §IV. Each runs the partition's blocks as logical processes on real threads
 // (one thread per block) and must reproduce the golden simulator's results
-// bit-exactly.
+// bit-exactly. Planning happens before the call: activity-weighted
+// repartitioning (partition/activity.hpp), block scheduling
+// (partition/schedule.hpp) and critical-path guidance
+// (trace/critical_path.hpp) each return a partition or a per-LP vector the
+// caller passes in. An engine runs once on the partition and config it is
+// given.
 
 #include <memory>
 #include <string>
@@ -39,9 +44,9 @@ struct EngineConfig {
   /// instantiates its blocks straight from it — the hot-cache path of the
   /// simulation service (src/server). plan_opt and keep are then ignored
   /// (they were baked in at compile time), and the partition passed to the
-  /// engine must be the rig's source partition. Incompatible with the
-  /// partition-reshaping drivers (activity_feedback, schedule_blocks,
-  /// cp_guided) — validate_engine_config rejects those combinations.
+  /// engine must be the rig's source partition. A planned partition
+  /// (partition_with_activity, schedule_partition) is compiled like any
+  /// other: plan first, then compile_rig on the result.
   std::shared_ptr<const CompiledRig> compiled;
 
   /// Run the invariant auditor (src/check) alongside the engine: causality,
@@ -49,27 +54,6 @@ struct EngineConfig {
   /// order. Also forced on for every run by the PLSIM_AUDIT env variable.
   /// Violations throw plsim::AuditViolation after the threads join.
   bool audit = false;
-
-  /// Two-pass activity feedback (paper §III/§VI): before running, profile
-  /// the workload with a golden pre-simulation over `activity_cycles`
-  /// stimulus vectors and repartition with the measured per-gate evaluation
-  /// counts as vertex weights and per-net toggle counts as net weights
-  /// (activity-weighted multilevel, same block count, seed
-  /// `activity_seed`). The supplied partition is used only as the block
-  /// count's source; results stay bit-identical to any partition. Honored
-  /// by the synchronous, conservative and Time Warp engines (the oblivious
-  /// engine evaluates every gate regardless, so feedback cannot help it).
-  bool activity_feedback = false;
-  std::size_t activity_cycles = 8;  ///< profiling run length (stim vectors)
-  std::uint64_t activity_seed = 1;  ///< repartition seed
-
-  /// Cache-aware block scheduling (src/partition/schedule.hpp): renumber the
-  /// partition's blocks along the cut-structure schedule before building the
-  /// rig, so blocks sharing boundary nets get adjacent SimPlan value slices.
-  /// Composes with activity_feedback (the schedule is then weighted by the
-  /// profiled per-net traffic). Results are bit-exact either way; the block
-  /// schedule itself is deterministic (see BlockSchedule::digest).
-  bool schedule_blocks = false;
 
   // --- Conservative knobs ---
   /// Adaptive lookahead: promise each channel max(classic, per-channel
@@ -93,25 +77,9 @@ struct EngineConfig {
   Tick optimism_window = 0;        ///< LVT may lead GVT by at most this (0 = unbounded)
   /// Per-LP optimism windows overriding optimism_window ([n_blocks]; entry 0
   /// = that LP is unbounded). Mutually exclusive with a global window.
+  /// derive_cp_guidance (trace/critical_path.hpp) computes one from a
+  /// critical-path analysis.
   std::vector<Tick> lp_optimism;
-  /// Modelled checkpoint interval in batches (Incremental only; cost-model
-  /// accounting — the undo log stays dense so rollback is exact).
-  std::uint32_t save_interval = 1;
-  /// Per-LP checkpoint intervals overriding save_interval ([n_blocks]).
-  std::vector<std::uint32_t> lp_save_interval;
-
-  // --- Critical-path-guided speculation control (two-pass driver) ---
-  /// Analyze the critical path first, then rerun with per-LP slack steering
-  /// speculation: off-path LPs (relative slack > cp_slack_threshold) get a
-  /// bounded optimism window (cp_window) and sparse checkpoints
-  /// (cp_save_interval); on-path LPs run unthrottled. For the conservative
-  /// engine this maps to adaptive_lookahead + schedule_blocks (a
-  /// conservative promise cannot soundly use slack, but the structural
-  /// bounds attack the same blocked time).
-  bool cp_guided = false;
-  Tick cp_window = 32;
-  std::uint32_t cp_save_interval = 4;
-  double cp_slack_threshold = 0.25;
 };
 
 /// Reject contradictory knob combinations with a structured plsim::Error

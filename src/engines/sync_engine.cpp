@@ -21,14 +21,6 @@ namespace plsim {
 RunResult run_synchronous(const Circuit& c, const Stimulus& stim,
                           const Partition& p, const EngineConfig& cfg) {
   validate_engine_config(cfg, p.n_blocks, "synchronous");
-  if (cfg.activity_feedback || cfg.schedule_blocks) {
-    const Partition p2 = prepare_partition(c, stim, p, cfg);
-    EngineConfig cfg2 = cfg;
-    cfg2.activity_feedback = false;
-    cfg2.schedule_blocks = false;
-    return run_synchronous(c, stim, p2, cfg2);
-  }
-
   WallTimer timer;
 
   BlockOptions bopts;

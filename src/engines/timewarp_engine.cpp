@@ -19,7 +19,6 @@
 #include "engines/common.hpp"
 #include "engines/engine.hpp"
 #include "parallel/guarded.hpp"
-#include "trace/critical_path.hpp"
 #include "parallel/mailbox.hpp"
 #include "parallel/threads.hpp"
 #include "trace/trace.hpp"
@@ -91,27 +90,6 @@ struct LpState {
 RunResult run_timewarp(const Circuit& c, const Stimulus& stim,
                        const Partition& p, const EngineConfig& cfg) {
   validate_engine_config(cfg, p.n_blocks, "timewarp");
-  // Partition shaping first (it renumbers block ids), critical-path guidance
-  // second (its per-LP vectors must index the final block ids).
-  if (cfg.activity_feedback || cfg.schedule_blocks) {
-    const Partition p2 = prepare_partition(c, stim, p, cfg);
-    EngineConfig cfg2 = cfg;
-    cfg2.activity_feedback = false;
-    cfg2.schedule_blocks = false;
-    return run_timewarp(c, stim, p2, cfg2);
-  }
-  if (cfg.cp_guided) {
-    const CriticalPathResult cp = analyze_critical_path(c, stim, p,
-                                                        CostModel{});
-    const CpGuidance guide = derive_cp_guidance(
-        cp, cfg.cp_window, cfg.cp_save_interval, cfg.cp_slack_threshold);
-    EngineConfig cfg2 = cfg;
-    cfg2.cp_guided = false;
-    cfg2.lp_optimism = guide.lp_optimism;
-    cfg2.lp_save_interval = guide.lp_save_interval;
-    return run_timewarp(c, stim, p, cfg2);
-  }
-
   WallTimer timer;
 
   BlockOptions bopts;
@@ -120,11 +98,6 @@ RunResult run_timewarp(const Circuit& c, const Stimulus& stim,
   bopts.save = cfg.save == SaveMode::None ? SaveMode::Incremental : cfg.save;
   bopts.record_trace = cfg.record_trace;
   BlockRig rig = build_rig(c, stim, p, bopts, cfg);
-  if (!cfg.lp_save_interval.empty() || cfg.save_interval > 1)
-    for (std::uint32_t b = 0; b < p.n_blocks; ++b)
-      rig.blocks[b]->set_save_interval(cfg.lp_save_interval.empty()
-                                           ? cfg.save_interval
-                                           : cfg.lp_save_interval[b]);
 
   const std::uint32_t n = p.n_blocks;
   const Tick horizon = bopts.horizon;

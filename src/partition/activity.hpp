@@ -7,8 +7,9 @@
 //
 // Two sources produce the same ActivityProfile:
 //   profile_activity()      an in-process golden pre-simulation (no trace
-//                           file involved); the two-pass engine driver
-//                           (EngineConfig::activity_feedback) uses this.
+//                           file involved); a caller plans with it before
+//                           running an engine: partition_with_activity(c,
+//                           n, seed, profile_activity(c, stim, cycles)).
 //   activity_from_trace()   a PLSIM_TRACE binary capture containing the
 //                           GateEval/NetMsg summary records engines flush at
 //                           end of run; offline tooling and benches use this.

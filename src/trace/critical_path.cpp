@@ -135,6 +135,9 @@ CpGuidance derive_cp_guidance(const CriticalPathResult& cp, Tick window,
   PLSIM_CHECK(window >= 1, "derive_cp_guidance: window must be >= 1");
   PLSIM_CHECK(save_interval >= 1,
               "derive_cp_guidance: save interval must be >= 1");
+  PLSIM_CHECK(slack_threshold >= 0.0 && slack_threshold <= 1.0,
+              "derive_cp_guidance: slack threshold must lie in [0, 1] (it is "
+              "a fraction of the critical-path time)");
   const std::size_t n = cp.lp_slack.size();
   CpGuidance g;
   g.lp_optimism.assign(n, 0);

@@ -65,7 +65,8 @@ struct CriticalPathResult {
 };
 
 /// Per-LP speculation-control knobs derived from critical-path slack, in the
-/// format EngineConfig/VpConfig::lp_optimism / lp_save_interval consume.
+/// format EngineConfig/VpConfig::lp_optimism and VpConfig::lp_save_interval
+/// consume.
 struct CpGuidance {
   /// Optimism window per LP: 0 = unthrottled (on or near the critical path),
   /// `window` ticks for off-path LPs.
@@ -86,7 +87,9 @@ struct CpGuidance {
 ///     work ratios are noise and the margin stays off.
 /// Off-path LPs get (window, save_interval); the rest run unthrottled with
 /// per-batch checkpoints. On a balanced partition neither margin fires and
-/// the guidance is a no-op, so the default threshold is safe everywhere.
+/// the guidance is a no-op, so the 0.25 threshold fig1 and c14 pass is safe
+/// everywhere. Throws plsim::Error unless window >= 1, save_interval >= 1
+/// and slack_threshold lies in [0, 1].
 CpGuidance derive_cp_guidance(const CriticalPathResult& cp, Tick window,
                               std::uint32_t save_interval,
                               double slack_threshold);

@@ -36,17 +36,18 @@ std::vector<std::uint32_t> round_robin_mapping(std::uint32_t n_blocks,
   return map;
 }
 
-double batch_cost(const CostModel& cost, const BatchStats& bs, SaveMode save) {
+double batch_cost(const CostModel& cost, const BatchStats& bs, SaveMode save,
+                  bool checkpoint) {
   // Message sends are charged by each executor per routed destination, not
   // here (messages_out counts exported changes, not deliveries).
   double w = cost.batch_overhead + bs.wire_events * cost.event +
              bs.evaluations * cost.eval + bs.dff_samples * cost.dff_sample;
   if (save == SaveMode::Incremental) {
-    // Sparse checkpointing (set_save_interval > 1) skips the fixed
-    // state-saving charge on non-checkpoint batches; the incremental log
-    // entries themselves are still written (rollback stays exact).
+    // Sparse checkpointing (run_timewarp_vp's per-LP interval) skips the
+    // fixed state-saving charge on non-checkpoint batches; the incremental
+    // log entries themselves are still written (rollback stays exact).
     w += bs.undo_entries * cost.undo_per_entry;
-    if (bs.checkpoint) w += cost.save_fixed;
+    if (checkpoint) w += cost.save_fixed;
   } else if (save == SaveMode::Full) {
     w += cost.save_fixed + static_cast<double>(bs.save_bytes) * cost.save_per_byte;
   }

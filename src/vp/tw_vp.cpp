@@ -59,26 +59,39 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
   bopts.horizon = stim.horizon();
   bopts.save = cfg.save == SaveMode::None ? SaveMode::Incremental : cfg.save;
   bopts.record_trace = false;
-  BlockRig rig =
-      instantiate_rig(c, stim, compile_rig(c, p, stim.period), bopts);
 
   const std::uint32_t n_blocks = p.n_blocks;
-  const Tick horizon = bopts.horizon;
-  const CostModel& cost = cfg.cost;
-
   PLSIM_CHECK(cfg.lp_optimism.empty() || cfg.lp_optimism.size() == n_blocks,
               "VpConfig: lp_optimism size does not match the partition");
+  PLSIM_CHECK(cfg.lp_optimism.empty() || cfg.optimism_window == 0,
+              "VpConfig: lp_optimism and a global optimism_window are "
+              "mutually exclusive (per-LP entry 0 already means unbounded)");
   PLSIM_CHECK(
       cfg.lp_save_interval.empty() || cfg.lp_save_interval.size() == n_blocks,
       "VpConfig: lp_save_interval size does not match the partition");
-  if (!cfg.lp_save_interval.empty() || cfg.save_interval > 1)
-    for (std::uint32_t b = 0; b < n_blocks; ++b)
-      rig.blocks[b]->set_save_interval(cfg.lp_save_interval.empty()
-                                           ? cfg.save_interval
-                                           : cfg.lp_save_interval[b]);
+  for (const std::uint32_t k : cfg.lp_save_interval) {
+    PLSIM_CHECK(k >= 1, "VpConfig: lp_save_interval entries must be >= 1 "
+                        "(checkpoint intervals count batches)");
+    // Sparse full-copy saving is unsound (restore jumps to the earliest
+    // snapshot at/after the rollback target, so a skipped one would leave
+    // later batches applied), so the model must not price it.
+    PLSIM_CHECK(k == 1 || bopts.save == SaveMode::Incremental,
+                "VpConfig: sparse checkpoint intervals require "
+                "SaveMode::Incremental");
+  }
+
+  BlockRig rig =
+      instantiate_rig(c, stim, compile_rig(c, p, stim.period), bopts);
+  const Tick horizon = bopts.horizon;
+  const CostModel& cost = cfg.cost;
+
   // Per-LP optimism window; 0 = unbounded.
   auto lp_window = [&cfg](std::uint32_t b) -> Tick {
     return cfg.lp_optimism.empty() ? cfg.optimism_window : cfg.lp_optimism[b];
+  };
+  // Per-LP checkpoint interval in batches; 1 = save every batch.
+  auto lp_save_interval = [&cfg](std::uint32_t b) -> std::uint32_t {
+    return cfg.lp_save_interval.empty() ? 1 : cfg.lp_save_interval[b];
   };
 
   std::uint32_t n_procs = 0;
@@ -95,6 +108,7 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
     std::size_t env_pos = 0;
     std::uint64_t uid_counter = 0;
     std::uint64_t fossil_dropped = 0;  ///< input entries erased below GVT
+    std::uint64_t batches = 0;  ///< batches processed, rollbacks not rewound
   };
   std::vector<Lp> lps(n_blocks);
   std::vector<double> clock(n_procs, 0.0);
@@ -300,7 +314,9 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
     const BatchStats bs =
         rig.blocks[best]->process_batch(nt, externals, outputs);
     lp.processed_bound = tick_add(nt, 1);
-    const double w = batch_cost(cost, bs, bopts.save) * cfg.noise(jitter[pr]);
+    const bool checkpoint = lp.batches++ % lp_save_interval(best) == 0;
+    const double w =
+        batch_cost(cost, bs, bopts.save, checkpoint) * cfg.noise(jitter[pr]);
     PLSIM_TRACE_VSPAN(tsn.lane(best), Eval, clock[pr], clock[pr] + w, nt,
                       outputs.size());
     clock[pr] += w;

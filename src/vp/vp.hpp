@@ -113,13 +113,12 @@ struct VpConfig {
   /// uniform optimism_window; otherwise one window per block, 0 = unbounded.
   /// Off-critical-path LPs get small windows, on-path LPs run free.
   std::vector<Tick> lp_optimism;
-  /// Charge state saving (save_fixed) only every k-th batch — sparse
-  /// checkpointing in the *cost model*; the real undo log stays dense so
-  /// rollback remains exact. 1 = save every batch (classic).
-  std::uint32_t save_interval = 1;
-  /// Per-LP sparse-checkpoint intervals: empty = uniform save_interval.
-  /// Throttled (high-slack) LPs rarely roll back, so they can afford longer
-  /// state-saving intervals.
+  /// Per-LP sparse checkpointing in the *cost model*: LP b pays the fixed
+  /// state-saving charge (save_fixed) only on every lp_save_interval[b]-th
+  /// batch; the real undo log stays dense, so rollback remains exact. Empty
+  /// = every LP saves every batch. Entries are >= 1, and > 1 only under
+  /// incremental saving. Throttled (high-slack) LPs rarely roll back, so
+  /// they can afford longer intervals; derive_cp_guidance computes them.
   std::vector<std::uint32_t> lp_save_interval;
   double gvt_period = 1500.0;    ///< virtual time units between GVT rounds
 };
@@ -171,8 +170,10 @@ VpResult run_hybrid_vp(const Circuit& c, const Stimulus& stim,
 VpResult run_oblivious_vp(const Circuit& c, const Stimulus& stim,
                           const Partition& p, const VpConfig& cfg);
 
-/// Shared per-batch cost rule.
-double batch_cost(const CostModel& cost, const BatchStats& bs, SaveMode save);
+/// Shared per-batch cost rule. `checkpoint` = false skips an incremental
+/// batch's fixed state-saving charge (VpConfig::lp_save_interval).
+double batch_cost(const CostModel& cost, const BatchStats& bs, SaveMode save,
+                  bool checkpoint = true);
 
 /// Shared result tail of the rig-based executors: merge the rig's blocks and
 /// copy final values, waveform digest and the block-level counters (wire

@@ -1,6 +1,6 @@
 // Tests for the trace -> partition feedback loop (paper §III/§VI): the
-// activity profiler, the binary-trace activity extractor, and the two-pass
-// EngineConfig::activity_feedback driver.
+// activity profiler, the binary-trace activity extractor, and engines run
+// on the activity-weighted partition they are handed.
 
 #include <gtest/gtest.h>
 
@@ -212,13 +212,14 @@ TEST(ActivityFeedback, EnginesStillMatchGolden) {
   const Stimulus s = random_stimulus(c, 16, 0.3, 7);
   const RunResult golden = simulate_golden(c, s);
   const Partition p = partition_round_robin(c, 4);  // deliberately poor
+  // Plan first: profile 6 vectors, repartition p's block count on them.
+  const Partition ap =
+      partition_with_activity(c, p.n_blocks, 1, profile_activity(c, s, 6));
 
   EngineConfig cfg;
   cfg.plan_opt = PlanOpt::None;  // bit-exact against the unoptimized golden
-  cfg.activity_feedback = true;
-  cfg.activity_cycles = 6;
   for (const NamedEngine& e : standard_engines()) {
-    const RunResult r = e.run(c, s, p, cfg);
+    const RunResult r = e.run(c, s, ap, cfg);
     EXPECT_EQ(r.final_values, golden.final_values) << e.name;
     EXPECT_EQ(r.wave.digest(), golden.wave.digest()) << e.name;
   }
@@ -227,8 +228,10 @@ TEST(ActivityFeedback, EnginesStillMatchGolden) {
 TEST(ActivityFeedback, RepartitionIsDeterministic) {
   const Circuit c = scaled_circuit(500, 9);
   const Stimulus s = random_stimulus(c, 24, 0.25, 1);
-  const Partition a = activity_repartition(c, s, 4, 8, 1);
-  const Partition b = activity_repartition(c, s, 4, 8, 1);
+  const Partition a =
+      partition_with_activity(c, 4, 1, profile_activity(c, s, 8));
+  const Partition b =
+      partition_with_activity(c, 4, 1, profile_activity(c, s, 8));
   EXPECT_EQ(a.block_of, b.block_of);
   validate_partition(c, a);
   EXPECT_EQ(a.n_blocks, 4u);

@@ -11,6 +11,7 @@
 
 #include <set>
 
+#include "engines/common.hpp"
 #include "engines/engine.hpp"
 #include "netlist/generators.hpp"
 #include "partition/activity.hpp"
@@ -24,6 +25,15 @@ namespace plsim {
 namespace {
 
 Circuit test_circuit() { return scaled_circuit(600, 11); }
+
+// The planning pipeline a caller runs before an engine: an activity-weighted
+// repartition, then a block schedule weighted by the profiled net traffic.
+Partition planned_partition(const Circuit& c, const Stimulus& s,
+                            std::uint32_t blocks) {
+  const ActivityProfile prof = profile_activity(c, s, 6);
+  return schedule_partition(c, partition_with_activity(c, blocks, 1, prof),
+                            compress_counts(prof.messages));
+}
 
 TEST(Schedule, IsAPermutationOfTheBlocks) {
   const Circuit c = test_circuit();
@@ -105,10 +115,9 @@ TEST(Schedule, EnginesStayBitExactAcrossWorkerCounts) {
   const Stimulus s = random_stimulus(c, 20, 0.3, 5);
   const RunResult golden = simulate_golden(c, s);
   for (std::uint32_t blocks : {2u, 4u, 8u}) {
-    const Partition p = partition_fm(c, blocks, 1);
+    const Partition p = schedule_partition(c, partition_fm(c, blocks, 1));
     EngineConfig cfg;
     cfg.plan_opt = PlanOpt::None;
-    cfg.schedule_blocks = true;
     for (const NamedEngine& e : standard_engines()) {
       const RunResult r = e.run(c, s, p, cfg);
       EXPECT_EQ(r.final_values, golden.final_values)
@@ -123,15 +132,32 @@ TEST(Schedule, ComposesWithActivityFeedback) {
   const Circuit c = test_circuit();
   const Stimulus s = random_stimulus(c, 20, 0.3, 5);
   const RunResult golden = simulate_golden(c, s);
-  const Partition p = partition_fm(c, 4, 1);
+  const Partition p = planned_partition(c, s, 4);
   EngineConfig cfg;
   cfg.plan_opt = PlanOpt::None;
-  cfg.schedule_blocks = true;
-  cfg.activity_feedback = true;
-  cfg.activity_cycles = 6;
   const RunResult r = run_conservative(c, s, p, cfg);
   EXPECT_EQ(r.final_values, golden.final_values);
   EXPECT_EQ(r.wave.digest(), golden.wave.digest());
+}
+
+TEST(Schedule, PlannedPartitionRunsFromAPrecompiledRig) {
+  // A planned partition is just a partition: compile it once, then every
+  // engine instantiates its blocks from the shared rig and matches the
+  // batch path that compiles per run.
+  const Circuit c = test_circuit();
+  const Stimulus s = random_stimulus(c, 20, 0.3, 5);
+  const Partition p = planned_partition(c, s, 4);
+  EngineConfig batch;
+  batch.plan_opt = PlanOpt::Safe;
+  EngineConfig hot = batch;
+  hot.compiled = std::make_shared<const CompiledRig>(
+      compile_rig(c, p, s.period, PlanOpt::Safe));
+  for (const NamedEngine& e : standard_engines()) {
+    const RunResult want = e.run(c, s, p, batch);
+    const RunResult got = e.run(c, s, p, hot);
+    EXPECT_EQ(got.final_values, want.final_values) << e.name;
+    EXPECT_EQ(got.wave.digest(), want.wave.digest()) << e.name;
+  }
 }
 
 }  // namespace

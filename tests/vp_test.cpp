@@ -10,6 +10,7 @@
 #include "seq/golden.hpp"
 #include "seq/oblivious.hpp"
 #include "stim/stimulus.hpp"
+#include "util/error.hpp"
 #include "vp/vp.hpp"
 
 namespace plsim {
@@ -160,6 +161,54 @@ TEST(VpTimeWarp, WindowLimitsRollbacks) {
   const VpResult a = run_timewarp_vp(s.circuit, s.stim, s.part, free);
   const VpResult b = run_timewarp_vp(s.circuit, s.stim, s.part, tight);
   EXPECT_LE(b.stats.rolled_back_batches, a.stats.rolled_back_batches);
+}
+
+// The Time Warp executor checks its per-LP knobs on entry, before it
+// compiles anything. Returns the rejection message ("" = accepted).
+std::string tw_vp_rejection(const VpConfig& cfg) {
+  const VpRig s = vp_rig_for(300, 4, 5, 0.4, 6);
+  try {
+    run_timewarp_vp(s.circuit, s.stim, s.part, cfg);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VpTimeWarp, ZeroSaveIntervalIsRejected) {
+  VpConfig cfg;
+  cfg.lp_save_interval = {1, 4, 0, 1};
+  EXPECT_NE(tw_vp_rejection(cfg).find(">= 1"), std::string::npos);
+}
+
+TEST(VpTimeWarp, SparseSaveIntervalRequiresIncrementalSaving) {
+  VpConfig cfg;
+  cfg.save = SaveMode::Full;
+  cfg.lp_save_interval = {1, 4, 1, 1};
+  EXPECT_NE(tw_vp_rejection(cfg).find("SaveMode::Incremental"),
+            std::string::npos);
+  cfg.lp_save_interval.assign(4, 1);  // dense full-copy saving stays legal
+  EXPECT_EQ(tw_vp_rejection(cfg), "");
+}
+
+TEST(VpTimeWarp, LpOptimismWithGlobalWindowIsRejected) {
+  VpConfig cfg;
+  cfg.lp_optimism = {0, 16, 16, 0};
+  cfg.optimism_window = 32;
+  EXPECT_NE(tw_vp_rejection(cfg).find("mutually exclusive"),
+            std::string::npos);
+  cfg.optimism_window = 0;
+  EXPECT_EQ(tw_vp_rejection(cfg), "");
+}
+
+TEST(VpTimeWarp, PerLpVectorSizeMismatchIsRejected) {
+  VpConfig opt;
+  opt.lp_optimism.assign(5, 16);
+  EXPECT_NE(tw_vp_rejection(opt).find("lp_optimism size"), std::string::npos);
+  VpConfig save;
+  save.lp_save_interval.assign(3, 4);
+  EXPECT_NE(tw_vp_rejection(save).find("lp_save_interval size"),
+            std::string::npos);
 }
 
 TEST(VpOblivious, CostIndependentOfActivity) {

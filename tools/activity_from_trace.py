@@ -10,7 +10,8 @@ capture: one gate-eval record per gate that was evaluated (aux = gate id,
 tick = evaluation count) and one net-msg record per gate that drove a
 cross-block message (tick = send count). This tool folds those records into
 the JSON profile the activity-weighted partitioners consume offline —
-the same feedback loop EngineConfig::activity_feedback closes in-process.
+the same feedback loop profile_activity plus partition_with_activity
+closes in-process.
 
 Several captures may be aggregated (counts are summed per gate), but only
 when they agree on the clock that produced the time-valued fields: the

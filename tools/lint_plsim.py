@@ -101,6 +101,14 @@ comment `// plsim-lint: allow(<rule>)`):
                   (trace time order, DP evaluation order) carry an explicit
                   waiver.
 
+  engine-input    No file in src/engines/ or src/vp/ includes a planning
+                  header: partition/activity.hpp, partition/schedule.hpp or
+                  trace/critical_path.hpp. Planning (activity-weighted
+                  repartitioning, block scheduling, critical-path guidance)
+                  happens before an executor is called; an executor runs
+                  once on the partition and per-LP vectors it is handed, and
+                  plsim_engines does not link plsim_trace.
+
   analyze-pass    Circuit construction/mutation (the NetlistBuilder type) is
                   confined to src/netlist/ and src/analyze/: everything
                   downstream of the analyzer consumes an immutable Circuit,
@@ -194,6 +202,12 @@ BLOCK_ORDER = re.compile(
     r"\bstd::(?:stable_sort|sort|partial_sort|nth_element)\s*\(")
 # The only route that builds or rewrites a Circuit.
 NETLIST_BUILDER = re.compile(r"\bNetlistBuilder\b")
+# Planning headers an executor must not include: it is handed their output.
+PLANNING_HEADERS = {
+    "partition/activity.hpp",
+    "partition/schedule.hpp",
+    "trace/critical_path.hpp",
+}
 
 
 def strip_comments_and_strings(line):
@@ -373,6 +387,11 @@ def lint_file(path, rel, findings):
                 report(idx, "include-hygiene",
                        f'parent-relative include "{inc}" — use the '
                        "repo-root-relative module path")
+            if in_engine_code and inc in PLANNING_HEADERS:
+                report(idx, "engine-input",
+                       f'planning header "{inc}" in executor code — plan '
+                       "before calling the executor and pass it the "
+                       "partition or per-LP vectors")
 
     # Atomic calls can span lines (the order argument often sits on its own
     # line), so this rule scans the joined comment-stripped text.
