@@ -22,7 +22,6 @@ namespace plsim {
 
 RunResult run_conservative(const Circuit& c, const Stimulus& stim,
                            const Partition& p, const EngineConfig& cfg) {
-  validate_engine_config(cfg, p.n_blocks, "conservative");
   WallTimer timer;
 
   BlockOptions bopts;

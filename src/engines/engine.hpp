@@ -76,18 +76,11 @@ struct EngineConfig {
   bool lazy_cancellation = false;  ///< Gafni's lazy cancellation (§IV)
   Tick optimism_window = 0;        ///< LVT may lead GVT by at most this (0 = unbounded)
   /// Per-LP optimism windows overriding optimism_window ([n_blocks]; entry 0
-  /// = that LP is unbounded). Mutually exclusive with a global window.
-  /// derive_cp_guidance (trace/critical_path.hpp) computes one from a
-  /// critical-path analysis.
+  /// = that LP is unbounded). Mutually exclusive with a global window
+  /// (check_lp_optimism). derive_cp_guidance (trace/critical_path.hpp)
+  /// computes one from a critical-path analysis.
   std::vector<Tick> lp_optimism;
 };
-
-/// Reject contradictory knob combinations with a structured plsim::Error
-/// (message prefixed "EngineConfig[<engine>]") instead of letting them
-/// silently misbehave. Called by every threaded engine on entry; `n_blocks`
-/// checks per-LP vector sizes.
-void validate_engine_config(const EngineConfig& cfg, std::uint32_t n_blocks,
-                            const char* engine);
 
 /// Synchronous (global-clock) engine: barrier per distinct event time.
 RunResult run_synchronous(const Circuit& c, const Stimulus& stim,

@@ -130,7 +130,6 @@ struct LevelSweep {
 
 RunResult run_oblivious_parallel(const Circuit& c, const Stimulus& stim,
                                  const Partition& p, const EngineConfig& cfg) {
-  validate_engine_config(cfg, p.n_blocks, "oblivious");
   // Optimizing front end: sweep the optimized netlist, then translate the
   // final values back. The oblivious engine fully settles every cycle, so
   // the settled constant recorded for each eliminated folded gate is exact

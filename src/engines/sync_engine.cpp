@@ -20,7 +20,6 @@ namespace plsim {
 
 RunResult run_synchronous(const Circuit& c, const Stimulus& stim,
                           const Partition& p, const EngineConfig& cfg) {
-  validate_engine_config(cfg, p.n_blocks, "synchronous");
   WallTimer timer;
 
   BlockOptions bopts;

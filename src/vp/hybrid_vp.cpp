@@ -7,51 +7,24 @@
 // Each cluster owns hybrid_cluster_size blocks, one processor per block.
 // Inside a cluster the blocks advance in lockstep (a barrier-synchronized
 // timestep, messages through shared memory); across clusters the whole
-// cluster behaves as one optimistic super-LP: a straggler from another
-// cluster rolls the entire cluster back. Intra-cluster messages are part of
-// the cluster's own history (removed on rollback); inter-cluster messages
-// are cancelled with anti-messages (aggressive cancellation).
+// cluster behaves as one optimistic super-LP (an engines/optimistic.hpp LP
+// of several blocks): a straggler from another cluster rolls the entire
+// cluster back. Intra-cluster messages are part of the cluster's own history
+// (removed on rollback); inter-cluster messages are cancelled with
+// anti-messages (aggressive cancellation).
 
-#include <map>
 #include <optional>
-#include <queue>
-#include <set>
 
 #include "check/auditor.hpp"
 #include "core/block.hpp"
 #include "engines/common.hpp"
+#include "engines/optimistic.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
+#include "vp/optimistic_des.hpp"
 #include "vp/vp.hpp"
 
 namespace plsim {
-namespace {
-
-struct HbMsg {
-  Message msg;
-  std::uint32_t dst_block = 0;
-  std::uint64_t uid = 0;
-  bool anti = false;
-  bool local = false;  // intra-cluster (undone directly on rollback)
-};
-
-enum class EvKind : std::uint8_t { Arrival, Wake, Gvt };
-
-struct Ev {
-  double at;
-  EvKind kind;
-  std::uint32_t target = 0;  // cluster id
-  HbMsg msg;
-  std::uint64_t seq;
-};
-struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-};
-
-}  // namespace
 
 VpResult run_hybrid_vp(const Circuit& c, const Stimulus& stim,
                        const Partition& p, const VpConfig& cfg) {
@@ -71,32 +44,21 @@ VpResult run_hybrid_vp(const Circuit& c, const Stimulus& stim,
 
   auto cluster_of = [&](std::uint32_t b) { return b / csize; };
 
-  struct Cluster {
-    std::vector<std::uint32_t> blocks;
-    std::multimap<Tick, HbMsg> input_queue;
-    std::multimap<Tick, HbMsg> sent_log;
-    std::vector<std::size_t> env_pos;  // parallel to `blocks`
-    Tick processed_bound = 0;
-    std::uint64_t uid_counter = 0;
-    std::uint64_t fossil_dropped = 0;  ///< input entries erased below GVT
-    double clock = 0.0;
-    bool wake_scheduled = false;
-  };
-  std::vector<Cluster> clusters(n_clusters);
-  for (std::uint32_t b = 0; b < n_blocks; ++b)
-    clusters[cluster_of(b)].blocks.push_back(b);
-  for (auto& cl : clusters) cl.env_pos.assign(cl.blocks.size(), 0);
-
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> des;
-  std::uint64_t des_seq = 0;
-  std::multiset<Tick> inflight;
-  Tick gvt = 0;
-
   // The auditor's LPs are the clusters: each cluster is one optimistic
   // super-LP (intra-cluster messages are internal state, not transport).
   std::optional<Auditor> aud;
   if (cfg.audit || Auditor::env_enabled())
     aud.emplace("hybrid-vp", n_clusters, horizon);
+
+  std::vector<OptimisticLp> lps;
+  lps.reserve(n_clusters);
+  for (std::uint32_t k = 0; k < n_clusters; ++k)
+    lps.emplace_back(k, false, aud ? &*aud : nullptr);
+  for (std::uint32_t b = 0; b < n_blocks; ++b)
+    lps[cluster_of(b)].add_block(b, *rig.blocks[b], rig.env[b]);
+  std::vector<double> clock(n_clusters, 0.0);
+  OptimisticDes des(n_clusters, aud ? &*aud : nullptr);  // wakes clusters
+  Tick gvt = 0;
 
   // One lane per cluster (the optimistic super-LP), on the modelled clock.
   trace::Session tsn("hybrid-vp", n_clusters,
@@ -109,251 +71,133 @@ VpResult run_hybrid_vp(const Circuit& c, const Stimulus& stim,
   for (std::uint32_t k = 0; k < n_clusters; ++k)
     jitter.emplace_back(cfg.jitter_seed ^ (0x517cu + k));
 
-  auto cluster_min = [&](std::uint32_t k) -> Tick {
-    const Cluster& cl = clusters[k];
-    Tick t = kTickInf;
-    for (std::size_t i = 0; i < cl.blocks.size(); ++i) {
-      t = std::min(t, rig.blocks[cl.blocks[i]]->next_internal_time());
-      const auto& env = rig.env[cl.blocks[i]];
-      if (cl.env_pos[i] < env.size())
-        t = std::min(t, env[cl.env_pos[i]].time);
-    }
-    const auto it = cl.input_queue.lower_bound(cl.processed_bound);
-    if (it != cl.input_queue.end()) t = std::min(t, it->first);
-    return std::min(t, horizon);
-  };
+  auto schedule_wake = [&](std::uint32_t k) { des.wake(clock[k], k); };
 
-  auto schedule_wake = [&](std::uint32_t k) {
-    if (clusters[k].wake_scheduled) return;
-    clusters[k].wake_scheduled = true;
-    des.push(Ev{clusters[k].clock, EvKind::Wake, k, {}, des_seq++});
-  };
-
-  auto send_inter = [&](std::uint32_t k, const HbMsg& m) {
-    Cluster& cl = clusters[k];
-    cl.clock += cost.msg_send;
+  auto send_inter = [&](std::uint32_t k, const OptMsg& m) {
+    clock[k] += cost.msg_send;
     r.busy += cost.msg_send;
-    inflight.insert(m.msg.time);
-    if (aud) {
-      aud->on_send(k, m.msg.time);
-      aud->on_inflight_add(m.msg.time);
-    }
-    des.push(Ev{cl.clock + inter_latency, EvKind::Arrival,
-                cluster_of(m.dst_block), m, des_seq++});
+    if (aud) aud->on_send(k, m.msg.time);
+    des.send(clock[k] + inter_latency, cluster_of(m.dst), m);
     if (m.anti) {
-      PLSIM_TRACE_VMARK(tsn.lane(k), AntiMsg, cl.clock, m.msg.time,
-                        m.dst_block);
+      PLSIM_TRACE_VMARK(tsn.lane(k), AntiMsg, clock[k], m.msg.time, m.dst);
       ++r.stats.anti_messages;
     } else {
-      PLSIM_TRACE_VMARK(tsn.lane(k), Send, cl.clock, m.msg.time, m.dst_block);
+      PLSIM_TRACE_VMARK(tsn.lane(k), Send, clock[k], m.msg.time, m.dst);
       ++r.stats.messages;
     }
   };
 
   auto rollback = [&](std::uint32_t k, Tick t) {
-    Cluster& cl = clusters[k];
-    if (cl.processed_bound <= t) return;
-    if (aud) aud->on_rollback(k, t);
     double w = cost.rollback_fixed;
-    std::uint64_t rb_batches = 0;
-    for (std::size_t i = 0; i < cl.blocks.size(); ++i) {
-      const auto rs = rig.blocks[cl.blocks[i]]->rollback_to(t);
+    std::uint32_t undone = 0;
+    lps[k].rewind(t, [&](const BlockSimulator::RollbackStats& rs) {
       w += rs.entries * cost.undo_replay;
-      r.stats.rolled_back_batches += rs.batches;
-      rb_batches += rs.batches;
-      auto& env = rig.env[cl.blocks[i]];
-      while (cl.env_pos[i] > 0 && env[cl.env_pos[i] - 1].time >= t)
-        --cl.env_pos[i];
-    }
-    PLSIM_TRACE_VSPAN(tsn.lane(k), Rollback, cl.clock, cl.clock + w, t,
-                      static_cast<std::uint32_t>(rb_batches));
-    cl.clock += w;
+      undone += rs.batches;
+    });
+    PLSIM_TRACE_VSPAN(tsn.lane(k), Rollback, clock[k], clock[k] + w, t,
+                      undone);
+    clock[k] += w;
     r.busy += w;
-    cl.processed_bound = t;
-    // Undo sends: intra messages vanish from our own queue; inter messages
-    // are cancelled with anti-messages.
-    std::vector<std::pair<Tick, HbMsg>> undone(cl.sent_log.lower_bound(t),
-                                               cl.sent_log.end());
-    cl.sent_log.erase(cl.sent_log.lower_bound(t), cl.sent_log.end());
-    for (auto& [bt, m] : undone) {
-      if (m.local) {
-        auto [lo, hi] = cl.input_queue.equal_range(m.msg.time);
-        for (auto it = lo; it != hi; ++it) {
-          if (it->second.uid == m.uid) {
-            cl.input_queue.erase(it);
-            // Self-cancellation: the undone send vanishes without an anti.
-            if (aud) aud->on_cancel(k);
-            break;
-          }
-        }
-      } else {
-        HbMsg anti = m;
-        anti.anti = true;
-        send_inter(k, anti);
-      }
-    }
-    ++r.stats.rollbacks;
-  };
-
-  auto deliver = [&](std::uint32_t k, const HbMsg& m) {
-    Cluster& cl = clusters[k];
-    if (aud) aud->on_deliver(k, m.msg.time);
-    if (m.msg.time < cl.processed_bound) rollback(k, m.msg.time);
-    if (!m.anti) {
-      cl.input_queue.emplace(m.msg.time, m);
-      if (aud) aud->on_enqueue(k);
-    } else {
-      auto [lo, hi] = cl.input_queue.equal_range(m.msg.time);
-      bool found = false;
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second.uid == m.uid && !it->second.anti) {
-          cl.input_queue.erase(it);
-          found = true;
-          break;
-        }
-      }
-      PLSIM_ASSERT(found);
-      if (aud) aud->on_cancel(k);
-    }
-    schedule_wake(k);
+    lps[k].retract(t, [&](const OptMsg& anti) { send_inter(k, anti); });
+    r.stats.rolled_back_batches += undone;
   };
 
   // One synchronized cluster timestep: all member blocks process time nt.
   auto work = [&](std::uint32_t k) {
-    Cluster& cl = clusters[k];
-    const Tick nt = cluster_min(k);
-    if (nt >= horizon) return;
-    if (cfg.optimism_window > 0 && nt > gvt && nt - gvt > cfg.optimism_window)
-      return;
+    OptimisticLp& lp = lps[k];
+    const Tick nt = lp.next_batch(horizon);
+    if (nt >= horizon || beyond_window(nt, gvt, cfg.optimism_window)) return;
 
     if (aud) aud->on_batch(k, nt);
     double max_member = 0.0;
     double send_work = 0.0;
     std::uint32_t stepped = 0;  // member blocks that actually ran a batch
-    std::vector<HbMsg> to_send;  // dispatched after the step cost is charged
-    for (std::size_t i = 0; i < cl.blocks.size(); ++i) {
-      const std::uint32_t b = cl.blocks[i];
+    std::vector<OptMsg> to_send;  // dispatched after the step cost is charged
+    for (std::size_t i = 0; i < lp.size(); ++i) {
       externals.clear();
-      auto& env = rig.env[b];
-      while (cl.env_pos[i] < env.size() && env[cl.env_pos[i]].time == nt)
-        externals.push_back(env[cl.env_pos[i]++]);
-      for (auto [lo, hi] = cl.input_queue.equal_range(nt); lo != hi; ++lo)
-        if (lo->second.dst_block == b && !lo->second.anti)
-          externals.push_back(lo->second.msg);
-      if (externals.empty() &&
-          rig.blocks[b]->next_internal_time() != nt)
-        continue;
+      lp.gather(i, nt, externals);
+      BlockSimulator& block = lp.block(i);
+      if (externals.empty() && block.next_internal_time() != nt) continue;
 
       outputs.clear();
-      const BatchStats bs = rig.blocks[b]->process_batch(nt, externals, outputs);
+      const BatchStats bs = block.process_batch(nt, externals, outputs);
       max_member = std::max(max_member, batch_cost(cost, bs, bopts.save));
       ++stepped;
       for (const Message& m : outputs) {
         for (std::uint32_t dst : rig.routing.dests[m.gate]) {
-          HbMsg hm{m, dst, (static_cast<std::uint64_t>(k) << 40) |
-                               cl.uid_counter++,
-                   false, cluster_of(dst) == k};
-          cl.sent_log.emplace(nt, hm);
-          if (hm.local) {
+          if (cluster_of(dst) == k) {
             send_work += cost.event;
-            cl.input_queue.emplace(m.time, hm);
-            if (aud) aud->on_enqueue(k);
+            lp.log_send(nt, m, dst, /*local=*/true);
             ++r.stats.messages;
           } else {
-            to_send.push_back(hm);
+            to_send.push_back(lp.log_send(nt, m, dst));
           }
         }
       }
     }
-    cl.processed_bound = tick_add(nt, 1);
+    lp.processed(nt);
     const double w =
         (max_member + send_work + cost.smp_barrier_cost(csize)) *
         cfg.noise(jitter[k]);
-    PLSIM_TRACE_VSPAN(tsn.lane(k), Eval, cl.clock, cl.clock + w, nt, stepped);
-    cl.clock += w;
+    PLSIM_TRACE_VSPAN(tsn.lane(k), Eval, clock[k], clock[k] + w, nt, stepped);
+    clock[k] += w;
     r.busy += w * csize;  // every member processor occupies the step
     r.stats.barriers += csize;
     // Network sends depart once the step's computation has finished.
-    for (const HbMsg& hm : to_send) send_inter(k, hm);
+    for (const OptMsg& hm : to_send) send_inter(k, hm);
     schedule_wake(k);
   };
 
   for (std::uint32_t k = 0; k < n_clusters; ++k) schedule_wake(k);
-  des.push(Ev{cfg.gvt_period, EvKind::Gvt, 0, {}, des_seq++});
+  des.gvt_round(cfg.gvt_period);
 
   while (!des.empty() && gvt < horizon) {
-    const Ev ev = des.top();
-    des.pop();
+    const OptimisticDes::Ev ev = des.pop();
     switch (ev.kind) {
-      case EvKind::Wake:
-        clusters[ev.target].wake_scheduled = false;
+      case OptimisticDes::Kind::Wake:
         work(ev.target);
         break;
-      case EvKind::Arrival: {
-        Cluster& cl = clusters[ev.target];
-        inflight.erase(inflight.find(ev.msg.msg.time));
-        if (aud) aud->on_inflight_remove(ev.msg.msg.time);
-        cl.clock = std::max(cl.clock, ev.at) + cost.msg_recv;
+      case OptimisticDes::Kind::Arrival: {
+        const std::uint32_t k = ev.target;
+        clock[k] = std::max(clock[k], ev.at) + cost.msg_recv;
         r.busy += cost.msg_recv;
-        PLSIM_TRACE_VMARK(tsn.lane(ev.target), Recv, cl.clock,
-                          ev.msg.msg.time, ev.msg.dst_block);
-        deliver(ev.target, ev.msg);
+        PLSIM_TRACE_VMARK(tsn.lane(k), Recv, clock[k], ev.msg.msg.time,
+                          ev.msg.dst);
+        if (aud) aud->on_deliver(k, ev.msg.msg.time);
+        lps[k].receive(ev.msg, [&](Tick t) { rollback(k, t); });
+        schedule_wake(k);
         break;
       }
-      case EvKind::Gvt: {
-        Tick new_gvt = inflight.empty() ? horizon : *inflight.begin();
+      case OptimisticDes::Kind::Gvt: {
+        Tick new_gvt = des.inflight_min(horizon);
         for (std::uint32_t k = 0; k < n_clusters; ++k)
-          new_gvt = std::min(new_gvt, cluster_min(k));
+          new_gvt = std::min(new_gvt, lps[k].gvt_bound(horizon));
         gvt = std::max(gvt, new_gvt);
         if (aud) aud->on_gvt(gvt);
         ++r.stats.gvt_rounds;
         PLSIM_TRACE_VMARK(tsn.lane(0), GvtRound, ev.at, gvt,
                           static_cast<std::uint32_t>(r.stats.gvt_rounds));
         for (std::uint32_t k = 0; k < n_clusters; ++k) {
-          Cluster& cl = clusters[k];
           double w = cost.barrier_cost(n_clusters) + cost.gvt_per_proc;
-          for (std::uint32_t b : cl.blocks) {
-            const std::size_t dropped = rig.blocks[b]->fossil_collect(gvt);
+          lps[k].collect_fossils(gvt, [&](std::size_t dropped) {
             w += dropped * cost.fossil_per_batch;
-          }
-          cl.sent_log.erase(cl.sent_log.begin(),
-                            cl.sent_log.lower_bound(gvt));
-          // Committed inputs below GVT are dead weight; drop them.
-          const auto fossil_end = cl.input_queue.lower_bound(
-              std::min(gvt, cl.processed_bound));
-          cl.fossil_dropped += static_cast<std::uint64_t>(
-              std::distance(cl.input_queue.begin(), fossil_end));
-          cl.input_queue.erase(cl.input_queue.begin(), fossil_end);
-          cl.clock = std::max(cl.clock, ev.at) + w;
+          });
+          clock[k] = std::max(clock[k], ev.at) + w;
           r.busy += w;
           schedule_wake(k);
         }
         if (gvt < horizon)
-          des.push(Ev{ev.at + cfg.gvt_period, EvKind::Gvt, 0, {}, des_seq++});
+          des.gvt_round(ev.at + cfg.gvt_period);
         break;
       }
     }
   }
 
-  for (const Cluster& cl : clusters)
-    r.makespan = std::max(r.makespan, cl.clock);
+  for (std::uint32_t k = 0; k < n_clusters; ++k)
+    r.makespan = std::max(r.makespan, clock[k]);
 
-  if (aud) {
-    // Arrivals still queued in the DES at exit were never delivered.
-    std::vector<std::uint64_t> pending(n_clusters, 0);
-    while (!des.empty()) {
-      const Ev ev = des.top();
-      des.pop();
-      if (ev.kind != EvKind::Arrival) continue;
-      ++pending[ev.target];
-      aud->on_inflight_remove(ev.msg.msg.time);
-    }
-    for (std::uint32_t k = 0; k < n_clusters; ++k) {
-      aud->set_pending(k, pending[k]);
-      aud->set_queue_left(
-          k, clusters[k].input_queue.size() + clusters[k].fossil_dropped);
-    }
-  }
+  des.settle(lps);
+  for (const OptimisticLp& lp : lps) r.stats.rollbacks += lp.rollbacks();
 
   flush_block_activity(tsn, rig);
 

@@ -5,7 +5,9 @@
 // restore work is charged from the real undo logs / snapshots. GVT rounds
 // run at fixed virtual-time intervals; because the platform is simulated,
 // GVT is computed exactly (LP minima plus in-flight message timestamps) and
-// each round charges a reduction cost to every processor.
+// each round charges a reduction cost to every processor. The protocol
+// itself is engines/optimistic.hpp; this file is its processors, its
+// message transport and its cost charges.
 //
 // LP granularity (paper §III): with several LPs per processor
 // (VpConfig::block_to_proc), co-located LPs exchange messages through shared
@@ -13,44 +15,18 @@
 // lowest-timestamp LP — the classic smallest-timestamp-first scheduling.
 
 #include <functional>
-#include <map>
 #include <optional>
-#include <queue>
-#include <set>
 
 #include "check/auditor.hpp"
 #include "core/block.hpp"
 #include "engines/common.hpp"
+#include "engines/optimistic.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
+#include "vp/optimistic_des.hpp"
 #include "vp/vp.hpp"
 
 namespace plsim {
-namespace {
-
-struct TwVpMsg {
-  Message msg;
-  std::uint64_t uid = 0;
-  bool anti = false;
-};
-
-enum class EvKind : std::uint8_t { Arrival, Wake, Gvt };
-
-struct Ev {
-  double at;
-  EvKind kind;
-  std::uint32_t target = 0;  // LP for Arrival, processor for Wake
-  TwVpMsg msg;
-  std::uint64_t seq;
-};
-struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-};
-
-}  // namespace
 
 VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
                          const Partition& p, const VpConfig& cfg) {
@@ -61,11 +37,7 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
   bopts.record_trace = false;
 
   const std::uint32_t n_blocks = p.n_blocks;
-  PLSIM_CHECK(cfg.lp_optimism.empty() || cfg.lp_optimism.size() == n_blocks,
-              "VpConfig: lp_optimism size does not match the partition");
-  PLSIM_CHECK(cfg.lp_optimism.empty() || cfg.optimism_window == 0,
-              "VpConfig: lp_optimism and a global optimism_window are "
-              "mutually exclusive (per-LP entry 0 already means unbounded)");
+  check_lp_optimism(cfg.lp_optimism, cfg.optimism_window, n_blocks);
   PLSIM_CHECK(
       cfg.lp_save_interval.empty() || cfg.lp_save_interval.size() == n_blocks,
       "VpConfig: lp_save_interval size does not match the partition");
@@ -85,38 +57,27 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
   const Tick horizon = bopts.horizon;
   const CostModel& cost = cfg.cost;
 
-  // Per-LP optimism window; 0 = unbounded.
-  auto lp_window = [&cfg](std::uint32_t b) -> Tick {
-    return cfg.lp_optimism.empty() ? cfg.optimism_window : cfg.lp_optimism[b];
-  };
-  // Per-LP checkpoint interval in batches; 1 = save every batch.
-  auto lp_save_interval = [&cfg](std::uint32_t b) -> std::uint32_t {
-    return cfg.lp_save_interval.empty() ? 1 : cfg.lp_save_interval[b];
-  };
-
   std::uint32_t n_procs = 0;
   const std::vector<std::uint32_t> proc_of =
       cfg.resolve_mapping(n_blocks, n_procs);
   std::vector<std::vector<std::uint32_t>> lps_of(n_procs);
   for (std::uint32_t b = 0; b < n_blocks; ++b) lps_of[proc_of[b]].push_back(b);
 
-  struct Lp {
-    std::multimap<Tick, TwVpMsg> input_queue;
-    std::multimap<Tick, TwVpMsg> sent_log;
-    std::multimap<Tick, TwVpMsg> lazy_pending;
-    Tick processed_bound = 0;
-    std::size_t env_pos = 0;
-    std::uint64_t uid_counter = 0;
-    std::uint64_t fossil_dropped = 0;  ///< input entries erased below GVT
-    std::uint64_t batches = 0;  ///< batches processed, rollbacks not rewound
-  };
-  std::vector<Lp> lps(n_blocks);
-  std::vector<double> clock(n_procs, 0.0);
-  std::vector<std::uint8_t> wake_scheduled(n_procs, 0);
+  std::optional<Auditor> aud;
+  if (cfg.audit || Auditor::env_enabled())
+    aud.emplace("timewarp-vp", n_blocks, horizon);
 
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> des;
-  std::uint64_t des_seq = 0;
-  std::multiset<Tick> inflight;  // timestamps of undelivered remote messages
+  std::vector<OptimisticLp> lps;
+  lps.reserve(n_blocks);
+  for (std::uint32_t b = 0; b < n_blocks; ++b) {
+    lps.emplace_back(b, cfg.lazy_cancellation, aud ? &*aud : nullptr);
+    lps.back().add_block(b, *rig.blocks[b], rig.env[b]);
+  }
+  // Batches processed per LP, rollbacks not rewound: LP b checkpoints on
+  // every lp_save_interval[b]-th (on each when the vector is empty).
+  std::vector<std::uint64_t> batches(n_blocks, 0);
+  std::vector<double> clock(n_procs, 0.0);
+  OptimisticDes des(n_procs, aud ? &*aud : nullptr);  // wakes processors
   Tick gvt = 0;
 
   VpResult r;
@@ -126,48 +87,19 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
   for (std::uint32_t pr = 0; pr < n_procs; ++pr)
     jitter.emplace_back(cfg.jitter_seed ^ (0x9e37u + pr));
 
-  std::optional<Auditor> aud;
-  if (cfg.audit || Auditor::env_enabled())
-    aud.emplace("timewarp-vp", n_blocks, horizon);
-
   trace::Session tsn("timewarp-vp", n_blocks,
                      trace::ClockKind::VirtualMilliUnits);
 
-  auto local_min = [&](std::uint32_t b) -> Tick {
-    const Lp& lp = lps[b];
-    Tick t = rig.blocks[b]->next_internal_time();
-    const auto it = lp.input_queue.lower_bound(lp.processed_bound);
-    if (it != lp.input_queue.end()) t = std::min(t, it->first);
-    if (lp.env_pos < rig.env[b].size())
-      t = std::min(t, rig.env[b][lp.env_pos].time);
-    return std::min(t, horizon);
-  };
-
-  // GVT lower bound for one LP. Unlike local_min (batch scheduling), this
-  // includes pending lazy cancellations: a pending entry at time bt can
-  // still turn into an anti-message at bt, rolling its receivers back to
-  // bt — GVT must never overtake it.
-  auto gvt_min = [&](std::uint32_t b) -> Tick {
-    Tick t = local_min(b);
-    if (!lps[b].lazy_pending.empty())
-      t = std::min(t, lps[b].lazy_pending.begin()->first);
-    return t;
-  };
-
-  auto schedule_wake = [&](std::uint32_t pr) {
-    if (wake_scheduled[pr]) return;
-    wake_scheduled[pr] = 1;
-    des.push(Ev{clock[pr], EvKind::Wake, pr, {}, des_seq++});
-  };
+  auto schedule_wake = [&](std::uint32_t pr) { des.wake(clock[pr], pr); };
 
   // Forward declarations for the mutually recursive send/deliver pair
   // (a local delivery can roll the receiver back, which sends more
   // messages, possibly again locally).
-  std::function<void(std::uint32_t, const TwVpMsg&)> send;
-  std::function<void(std::uint32_t, const TwVpMsg&)> deliver;
+  std::function<void(std::uint32_t, const OptMsg&)> send;
+  std::function<void(std::uint32_t, const OptMsg&)> deliver;
   std::function<void(std::uint32_t, Tick)> rollback;
 
-  send = [&](std::uint32_t b, const TwVpMsg& m) {
+  send = [&](std::uint32_t b, const OptMsg& m) {
     const std::uint32_t pr = proc_of[b];
     for (std::uint32_t dst : rig.routing.dests[m.msg.gate]) {
       if (m.anti)
@@ -187,68 +119,32 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
       } else {
         clock[pr] += cost.msg_send;
         r.busy += cost.msg_send;
-        inflight.insert(m.msg.time);
-        if (aud) aud->on_inflight_add(m.msg.time);
-        des.push(Ev{clock[pr] + cost.msg_latency, EvKind::Arrival, dst, m,
-                    des_seq++});
+        des.send(clock[pr] + cost.msg_latency, dst, m);
       }
     }
   };
 
   rollback = [&](std::uint32_t b, Tick t) {
-    Lp& lp = lps[b];
-    if (lp.processed_bound <= t) return;
-    if (aud) aud->on_rollback(b, t);
     const std::uint32_t pr = proc_of[b];
-    const auto rs = rig.blocks[b]->rollback_to(t);
-    const double w = cost.rollback_fixed + rs.entries * cost.undo_replay +
-                     static_cast<double>(rs.bytes) * cost.save_per_byte;
+    double w = cost.rollback_fixed;
+    std::uint32_t undone = 0;
+    lps[b].rewind(t, [&](const BlockSimulator::RollbackStats& rs) {
+      w += rs.entries * cost.undo_replay;
+      w += static_cast<double>(rs.bytes) * cost.save_per_byte;
+      undone += rs.batches;
+    });
     PLSIM_TRACE_VSPAN(tsn.lane(b), Rollback, clock[pr], clock[pr] + w, t,
-                      rs.batches);
+                      undone);
     clock[pr] += w;
     r.busy += w;
-    lp.processed_bound = t;
-    while (lp.env_pos > 0 && rig.env[b][lp.env_pos - 1].time >= t)
-      --lp.env_pos;
-    // Detach the affected log first: cancellation sends may recurse into
-    // this LP again.
-    std::vector<std::pair<Tick, TwVpMsg>> undone(
-        lp.sent_log.lower_bound(t), lp.sent_log.end());
-    lp.sent_log.erase(lp.sent_log.lower_bound(t), lp.sent_log.end());
-    for (auto& [bt, m] : undone) {
-      if (cfg.lazy_cancellation) {
-        lp.lazy_pending.emplace(bt, m);
-      } else {
-        TwVpMsg anti = m;
-        anti.anti = true;
-        send(b, anti);
-      }
-    }
-    ++r.stats.rollbacks;
-    r.stats.rolled_back_batches += rs.batches;
+    lps[b].retract(t, [&](const OptMsg& anti) { send(b, anti); });
+    r.stats.rolled_back_batches += undone;
   };
 
-  deliver = [&](std::uint32_t b, const TwVpMsg& m) {
-    Lp& lp = lps[b];
+  deliver = [&](std::uint32_t b, const OptMsg& m) {
     if (aud) aud->on_deliver(b, m.msg.time);
     PLSIM_TRACE_VMARK(tsn.lane(b), Recv, clock[proc_of[b]], m.msg.time, 1);
-    if (m.msg.time < lp.processed_bound) rollback(b, m.msg.time);
-    if (!m.anti) {
-      lp.input_queue.emplace(m.msg.time, m);
-      if (aud) aud->on_enqueue(b);
-    } else {
-      auto [lo, hi] = lp.input_queue.equal_range(m.msg.time);
-      bool found = false;
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second.uid == m.uid && !it->second.anti) {
-          lp.input_queue.erase(it);
-          found = true;
-          break;
-        }
-      }
-      PLSIM_ASSERT(found);
-      if (aud) aud->on_cancel(b);
-    }
+    lps[b].receive(m, [&](Tick t) { rollback(b, t); });
     schedule_wake(proc_of[b]);
   };
 
@@ -257,17 +153,9 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
   auto work = [&](std::uint32_t pr) {
     // Flush lazy cancellations for every local LP first: anything below an
     // LP's next batch time will never be regenerated.
-    for (std::uint32_t b : lps_of[pr]) {
-      Lp& lp = lps[b];
-      const Tick nt = local_min(b);
-      for (auto it = lp.lazy_pending.begin();
-           it != lp.lazy_pending.end() && it->first < nt;) {
-        TwVpMsg anti = it->second;
-        anti.anti = true;
-        it = lp.lazy_pending.erase(it);
-        send(b, anti);
-      }
-    }
+    for (std::uint32_t b : lps_of[pr])
+      lps[b].flush_lazy(lps[b].next_batch(horizon),
+                        [&](const OptMsg& anti) { send(b, anti); });
 
     // Lowest-timestamp-first LP scheduling among the unthrottled. An LP
     // whose next batch is beyond its optimism window past GVT is skipped —
@@ -277,10 +165,10 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
     Tick best_nt = horizon;
     bool throttled_seen = false;
     for (std::uint32_t b : lps_of[pr]) {
-      const Tick nt = local_min(b);
+      const Tick nt = lps[b].next_batch(horizon);
       if (nt >= horizon) continue;
-      const Tick window = lp_window(b);
-      if (window > 0 && nt > gvt && nt - gvt > window) {
+      if (beyond_window(nt, gvt, optimism_window_of(cfg.lp_optimism,
+                                                    cfg.optimism_window, b))) {
         throttled_seen = true;
         continue;
       }
@@ -300,21 +188,17 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
       return;  // idle (or throttled until the next GVT round)
     }
 
-    Lp& lp = lps[best];
+    OptimisticLp& lp = lps[best];
     const Tick nt = best_nt;
     externals.clear();
-    auto& env = rig.env[best];
-    while (lp.env_pos < env.size() && env[lp.env_pos].time == nt)
-      externals.push_back(env[lp.env_pos++]);
-    for (auto [lo, hi] = lp.input_queue.equal_range(nt); lo != hi; ++lo)
-      externals.push_back(lo->second.msg);
-
+    lp.gather(0, nt, externals);
     outputs.clear();
     if (aud) aud->on_batch(best, nt);
-    const BatchStats bs =
-        rig.blocks[best]->process_batch(nt, externals, outputs);
-    lp.processed_bound = tick_add(nt, 1);
-    const bool checkpoint = lp.batches++ % lp_save_interval(best) == 0;
+    const BatchStats bs = lp.block(0).process_batch(nt, externals, outputs);
+    lp.processed(nt);
+    const std::uint32_t every =
+        cfg.lp_save_interval.empty() ? 1 : cfg.lp_save_interval[best];
+    const bool checkpoint = batches[best]++ % every == 0;
     const double w =
         batch_cost(cost, bs, bopts.save, checkpoint) * cfg.noise(jitter[pr]);
     PLSIM_TRACE_VSPAN(tsn.lane(best), Eval, clock[pr], clock[pr] + w, nt,
@@ -324,52 +208,31 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
 
     for (const Message& m : outputs) {
       if (rig.routing.dests[m.gate].empty()) continue;
-      bool reused = false;
-      if (cfg.lazy_cancellation) {
-        for (auto [lo, hi] = lp.lazy_pending.equal_range(nt); lo != hi; ++lo) {
-          if (lo->second.msg == m) {
-            lp.sent_log.emplace(nt, lo->second);
-            lp.lazy_pending.erase(lo);
-            reused = true;
-            break;
-          }
-        }
-      }
-      if (reused) continue;
-      TwVpMsg tm{m,
-                 (static_cast<std::uint64_t>(best) << 40) | lp.uid_counter++,
-                 false};
-      lp.sent_log.emplace(nt, tm);
-      send(best, tm);
+      if (!lp.reuse(nt, m)) send(best, lp.log_send(nt, m));
     }
     schedule_wake(pr);
   };
 
   for (std::uint32_t pr = 0; pr < n_procs; ++pr) schedule_wake(pr);
-  des.push(Ev{cfg.gvt_period, EvKind::Gvt, 0, {}, des_seq++});
+  des.gvt_round(cfg.gvt_period);
 
   while (!des.empty() && gvt < horizon) {
-    const Ev ev = des.top();
-    des.pop();
+    const OptimisticDes::Ev ev = des.pop();
     switch (ev.kind) {
-      case EvKind::Wake: {
-        wake_scheduled[ev.target] = 0;
+      case OptimisticDes::Kind::Wake:
         work(ev.target);
         break;
-      }
-      case EvKind::Arrival: {
+      case OptimisticDes::Kind::Arrival: {
         const std::uint32_t pr = proc_of[ev.target];
-        inflight.erase(inflight.find(ev.msg.msg.time));
-        if (aud) aud->on_inflight_remove(ev.msg.msg.time);
         clock[pr] = std::max(clock[pr], ev.at) + cost.msg_recv;
         r.busy += cost.msg_recv;
         deliver(ev.target, ev.msg);
         break;
       }
-      case EvKind::Gvt: {
-        Tick new_gvt = inflight.empty() ? horizon : *inflight.begin();
+      case OptimisticDes::Kind::Gvt: {
+        Tick new_gvt = des.inflight_min(horizon);
         for (std::uint32_t b = 0; b < n_blocks; ++b)
-          new_gvt = std::min(new_gvt, gvt_min(b));
+          new_gvt = std::min(new_gvt, lps[b].gvt_bound(horizon));
         gvt = std::max(gvt, new_gvt);
         if (aud) aud->on_gvt(gvt);
         ++r.stats.gvt_rounds;
@@ -377,24 +240,16 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
                           r.stats.gvt_rounds);
         for (std::uint32_t pr = 0; pr < n_procs; ++pr) {
           double w = cost.barrier_cost(n_procs) + cost.gvt_per_proc;
-          for (std::uint32_t b : lps_of[pr]) {
-            const std::size_t dropped = rig.blocks[b]->fossil_collect(gvt);
-            lps[b].sent_log.erase(lps[b].sent_log.begin(),
-                                  lps[b].sent_log.lower_bound(gvt));
-            // Processed inputs below GVT can never be replayed again.
-            const auto fossil_end = lps[b].input_queue.lower_bound(
-                std::min(gvt, lps[b].processed_bound));
-            lps[b].fossil_dropped += static_cast<std::uint64_t>(
-                std::distance(lps[b].input_queue.begin(), fossil_end));
-            lps[b].input_queue.erase(lps[b].input_queue.begin(), fossil_end);
-            w += dropped * cost.fossil_per_batch;
-          }
+          for (std::uint32_t b : lps_of[pr])
+            lps[b].collect_fossils(gvt, [&](std::size_t dropped) {
+              w += dropped * cost.fossil_per_batch;
+            });
           clock[pr] = std::max(clock[pr], ev.at) + w;
           r.busy += w;
         }
         for (std::uint32_t pr = 0; pr < n_procs; ++pr) schedule_wake(pr);
         if (gvt < horizon)
-          des.push(Ev{ev.at + cfg.gvt_period, EvKind::Gvt, 0, {}, des_seq++});
+          des.gvt_round(ev.at + cfg.gvt_period);
         break;
       }
     }
@@ -403,24 +258,8 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
   for (std::uint32_t pr = 0; pr < n_procs; ++pr)
     r.makespan = std::max(r.makespan, clock[pr]);
 
-  if (aud) {
-    // The loop exits once GVT reaches the horizon; arrivals still in the DES
-    // queue were sent but never delivered — account them as pending.
-    std::vector<std::uint64_t> pending(n_blocks, 0);
-    while (!des.empty()) {
-      const Ev ev = des.top();
-      des.pop();
-      if (ev.kind != EvKind::Arrival) continue;
-      ++pending[ev.target];
-      aud->on_inflight_remove(ev.msg.msg.time);
-    }
-    for (std::uint32_t b = 0; b < n_blocks; ++b) {
-      aud->set_pending(b, pending[b]);
-      // Queue accounting: every enqueued positive was annihilated,
-      // fossil-collected, or is still in the queue.
-      aud->set_queue_left(b, lps[b].input_queue.size() + lps[b].fossil_dropped);
-    }
-  }
+  des.settle(lps);
+  for (const OptimisticLp& lp : lps) r.stats.rollbacks += lp.rollbacks();
 
   flush_block_activity(tsn, rig);
 

@@ -1,30 +1,32 @@
-// EngineConfig validation (src/engines/validate.cpp): every threaded engine
-// rejects contradictory knob combinations on entry with a structured Error
-// ("EngineConfig[<engine>]: ..."), one test per rejection rule. A final
-// section proves the validator is actually wired into all four entry points
-// and that legitimate combinations still pass. Planning inputs are checked
-// where they are used: derive_cp_guidance checks its window, interval and
-// slack threshold (speculation_test), run_timewarp_vp its per-LP vectors
+// Time Warp's per-LP optimism windows are checked once, where they are
+// read: check_lp_optimism (engines/optimistic.hpp) rejects a vector that
+// does not fit the partition or that sits beside a global window, with one
+// wording for both platforms. A final section proves run_timewarp and
+// run_timewarp_vp call it on entry. Other planning inputs are checked where
+// they are used: derive_cp_guidance checks its window, interval and slack
+// threshold (speculation_test), run_timewarp_vp its checkpoint intervals
 // (vp_test).
 
 #include <gtest/gtest.h>
 
 #include "engines/engine.hpp"
+#include "engines/optimistic.hpp"
 #include "netlist/generators.hpp"
 #include "partition/algorithms.hpp"
 #include "stim/stimulus.hpp"
 #include "util/error.hpp"
+#include "vp/vp.hpp"
 
 namespace plsim {
 namespace {
 
 constexpr std::uint32_t kBlocks = 4;
 
-// Runs the validator and returns the rejection message ("" = accepted).
-std::string why_rejected(const EngineConfig& cfg,
-                         std::uint32_t n_blocks = kBlocks) {
+// Runs the check and returns the rejection message ("" = accepted).
+std::string why_rejected(const std::vector<Tick>& lp_optimism,
+                         Tick optimism_window = 0) {
   try {
-    validate_engine_config(cfg, n_blocks, "test");
+    check_lp_optimism(lp_optimism, optimism_window, kBlocks);
   } catch (const Error& e) {
     return e.what();
   }
@@ -32,69 +34,72 @@ std::string why_rejected(const EngineConfig& cfg,
 }
 
 TEST(ConfigValidate, DefaultsAreAccepted) {
-  EXPECT_EQ(why_rejected(EngineConfig{}), "");
+  const EngineConfig cfg;
+  EXPECT_EQ(why_rejected(cfg.lp_optimism, cfg.optimism_window), "");
 }
 
 TEST(ConfigValidate, LpOptimismWithGlobalWindowIsRejected) {
-  EngineConfig cfg;
-  cfg.lp_optimism.assign(kBlocks, 16);
-  cfg.optimism_window = 32;
-  EXPECT_NE(why_rejected(cfg).find("mutually exclusive"), std::string::npos);
+  EXPECT_NE(why_rejected(std::vector<Tick>(kBlocks, 16), 32)
+                .find("mutually exclusive"),
+            std::string::npos);
 }
 
 TEST(ConfigValidate, LpOptimismSizeMismatchIsRejected) {
-  EngineConfig cfg;
-  cfg.lp_optimism.assign(kBlocks + 1, 16);
-  EXPECT_NE(why_rejected(cfg).find("one entry per block"), std::string::npos);
+  EXPECT_NE(why_rejected(std::vector<Tick>(kBlocks + 1, 16))
+                .find("one entry per block"),
+            std::string::npos);
 }
 
 TEST(ConfigValidate, ValidCombinationsAreAccepted) {
-  EngineConfig cfg;
-  cfg.lp_optimism.assign(kBlocks, 0);  // all-unbounded per-LP vector is fine
-  EXPECT_EQ(why_rejected(cfg), "");
-
-  EngineConfig cfg2;
-  cfg2.lp_optimism = {0, 16, 16, 0};
-  cfg2.save = SaveMode::Full;
-  cfg2.lazy_cancellation = true;
-  EXPECT_EQ(why_rejected(cfg2), "");
-
-  EngineConfig cfg3;
-  cfg3.optimism_window = 32;  // a global window alone is fine
-  cfg3.adaptive_lookahead = true;
-  cfg3.time_buckets = true;
-  EXPECT_EQ(why_rejected(cfg3), "");
+  // An all-unbounded per-LP vector is fine.
+  EXPECT_EQ(why_rejected(std::vector<Tick>(kBlocks, 0)), "");
+  EXPECT_EQ(why_rejected({0, 16, 16, 0}), "");
+  // A global window alone is fine.
+  EXPECT_EQ(why_rejected({}, 32), "");
 }
 
-// ------------------------------------- wired into every engine entry point --
+// ------------------------------------ wired into both Time Warp platforms --
 
-TEST(ConfigValidate, AllFourEnginesRejectOnEntry) {
+// Returns the rejection messages of the threaded engine and of the virtual
+// platform for the same per-LP windows.
+std::pair<std::string, std::string> rejections(
+    const std::vector<Tick>& lp_optimism, Tick optimism_window) {
   const Circuit c = scaled_circuit(200, 1);
   const Stimulus s = random_stimulus(c, 4, 0.3, 7);
   const Partition p = partition_fm(c, kBlocks, 1);
-  EngineConfig bad;
-  bad.lp_optimism.assign(kBlocks, 16);
-  bad.optimism_window = 32;
-  EXPECT_THROW(run_synchronous(c, s, p, bad), Error);
-  EXPECT_THROW(run_conservative(c, s, p, bad), Error);
-  EXPECT_THROW(run_timewarp(c, s, p, bad), Error);
-  EXPECT_THROW(run_oblivious_parallel(c, s, p, bad), Error);
-}
-
-TEST(ConfigValidate, EngineNameAppearsInTheMessage) {
-  const Circuit c = scaled_circuit(200, 1);
-  const Stimulus s = random_stimulus(c, 4, 0.3, 7);
-  const Partition p = partition_fm(c, kBlocks, 1);
-  EngineConfig bad;
-  bad.lp_optimism.assign(kBlocks + 1, 16);
+  EngineConfig ecfg;
+  ecfg.lp_optimism = lp_optimism;
+  ecfg.optimism_window = optimism_window;
+  VpConfig vcfg;
+  vcfg.lp_optimism = lp_optimism;
+  vcfg.optimism_window = optimism_window;
+  std::pair<std::string, std::string> why;
   try {
-    run_timewarp(c, s, p, bad);
-    FAIL() << "contradictory config not rejected";
+    run_timewarp(c, s, p, ecfg);
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("EngineConfig[timewarp]"),
-              std::string::npos)
-        << e.what();
+    why.first = e.what();
   }
+  try {
+    run_timewarp_vp(c, s, p, vcfg);
+  } catch (const Error& e) {
+    why.second = e.what();
+  }
+  return why;
+}
+
+TEST(ConfigValidate, BothTimeWarpPlatformsRejectOnEntry) {
+  const auto exclusive = rejections(std::vector<Tick>(kBlocks, 16), 32);
+  EXPECT_NE(exclusive.first.find("mutually exclusive"), std::string::npos);
+  EXPECT_EQ(exclusive.first, exclusive.second);
+
+  const auto size = rejections(std::vector<Tick>(kBlocks + 1, 16), 0);
+  EXPECT_NE(size.first.find("one entry per block"), std::string::npos)
+      << size.first;
+  EXPECT_EQ(size.first, size.second);
+
+  const auto fine = rejections({0, 16, 16, 0}, 0);
+  EXPECT_EQ(fine.first, "");
+  EXPECT_EQ(fine.second, "");
 }
 
 }  // namespace

@@ -204,7 +204,8 @@ TEST(VpTimeWarp, LpOptimismWithGlobalWindowIsRejected) {
 TEST(VpTimeWarp, PerLpVectorSizeMismatchIsRejected) {
   VpConfig opt;
   opt.lp_optimism.assign(5, 16);
-  EXPECT_NE(tw_vp_rejection(opt).find("lp_optimism size"), std::string::npos);
+  EXPECT_NE(tw_vp_rejection(opt).find("one entry per block"),
+            std::string::npos);
   VpConfig save;
   save.lp_save_interval.assign(3, 4);
   EXPECT_NE(tw_vp_rejection(save).find("lp_save_interval size"),

@@ -109,6 +109,15 @@ comment `// plsim-lint: allow(<rule>)`):
                   once on the partition and per-LP vectors it is handed, and
                   plsim_engines does not link plsim_trace.
 
+  optimistic-core In src/engines/ and src/vp/, block rollback and fossil
+                  collection (rollback_to(, fossil_collect() and the
+                  std::multimap queues and logs of optimistic execution
+                  appear only in src/engines/optimistic.hpp. The optimistic
+                  protocol (input queue, sent log, rollback, cancellation,
+                  fossil collection) is written once there; the Time Warp
+                  and hybrid executors are its transports and cost models,
+                  and a second copy would drift from it.
+
   analyze-pass    Circuit construction/mutation (the NetlistBuilder type) is
                   confined to src/netlist/ and src/analyze/: everything
                   downstream of the analyzer consumes an immutable Circuit,
@@ -200,6 +209,10 @@ TRACE_DETAIL = re.compile(r"\btrace_detail\s*::")
 # Ad-hoc ordering in engine code; block ordering lives in partition/schedule.
 BLOCK_ORDER = re.compile(
     r"\bstd::(?:stable_sort|sort|partial_sort|nth_element)\s*\(")
+# Optimistic protocol internals, written once in the optimistic core.
+OPTIMISTIC_CORE = re.compile(
+    r"\b(?:rollback_to|fossil_collect)\s*\(|\bstd::multimap\b")
+OPTIMISTIC_CORE_HOME = "src/engines/optimistic.hpp"
 # The only route that builds or rewrites a Circuit.
 NETLIST_BUILDER = re.compile(r"\bNetlistBuilder\b")
 # Planning headers an executor must not include: it is handed their output.
@@ -359,6 +372,15 @@ def lint_file(path, rel, findings):
                        f"'{m.group(0).strip('(').strip()}' in engine code — "
                        "block ordering is owned by src/partition/schedule.*; "
                        "waive explicitly if this sort orders something else")
+
+        if in_engine_code and rel != OPTIMISTIC_CORE_HOME:
+            m = OPTIMISTIC_CORE.search(code)
+            if m:
+                report(idx, "optimistic-core",
+                       f"'{m.group(0).rstrip('(').strip()}' outside "
+                       "engines/optimistic.hpp — rollback, cancellation and "
+                       "fossil collection belong to the optimistic core "
+                       "(OptimisticLp)")
 
         if in_partition:
             m = UNORDERED_ANY.search(code)
