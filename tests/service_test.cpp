@@ -111,7 +111,7 @@ TEST(Service, CacheBypassStillMatches) {
 TEST(Service, BadRequestIsStructured) {
   Service service(ServiceConfig{});
   JobRequest req = scaled_job("sync", 800, 1);
-  req.blocks = 0;  // validate_engine_config / partitioning must reject
+  req.blocks = 0;  // the job limits / partitioning must reject
   req.circuit.kind = CircuitSpec::Kind::Builtin;
   req.circuit.builtin = "no_such_circuit";
   const JobResponse resp = service.execute_now(req);

@@ -109,10 +109,10 @@ comment `// plsim-lint: allow(<rule>)`):
                   once on the partition and per-LP vectors it is handed, and
                   plsim_engines does not link plsim_trace.
 
-  optimistic-core In src/engines/ and src/vp/, block rollback and fossil
-                  collection (rollback_to(, fossil_collect() and the
-                  std::multimap queues and logs of optimistic execution
-                  appear only in src/engines/optimistic.hpp. The optimistic
+  optimistic-core In src/engines/ and src/vp/, calls to rollback_to and
+                  fossil_collect and the std::multimap queues and logs of
+                  optimistic execution appear only in
+                  src/engines/optimistic.hpp. The optimistic
                   protocol (input queue, sent log, rollback, cancellation,
                   fossil collection) is written once there; the Time Warp
                   and hybrid executors are its transports and cost models,
